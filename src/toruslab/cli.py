@@ -32,7 +32,7 @@ from .errors import (
 )
 from .exactfield import CONJ_IMAG, CONJ_REAL, FieldElement, GeneratorSpec, NumberField
 from .linalg import Mat
-from .neronseveri import compute_N_D, compute_ns, is_algebraic, polarization_search
+from .neronseveri import compute_N_D, compute_ns, is_algebraic
 from .torus import PeriodMatrix, attach_multiplication, build_torus
 
 _INTERNAL_ERRORS = (PrecisionExhausted, NotClosed, NotStable, UnrecognizedStructure)
@@ -409,8 +409,7 @@ def _cmd_polarize(doc: TorusDocument, args) -> tuple[dict, int]:
                  "certificate": verdict.certificate}
     approx = {}
     if verdict.status == "algebraic":
-        pol = polarization_search(ns, seed=args.seed)
-        eigs = _approx_eigenvalues(pol.herm.M, args.precision)
+        eigs = _approx_eigenvalues(verdict.polarization.herm.M, args.precision)
         approx["polarization_eigenvalues"] = eigs
     return {"claims": [], "witnesses": witnesses, "approx": approx}, 0
 

@@ -678,8 +678,11 @@ class FieldElement:
         return (self + self.conjugate()) * Fraction(1, 2)
 
     def imag_part(self) -> "FieldElement":
-        """(x - conj(x)) / (2i); a real element of the same field."""
-        return (self - self.conjugate()) / (self.field.i() * 2)
+        """(x - conj(x)) / (2i); a real element of the same field.
+
+        Computed as a product with -i/2, which needs no linear solve.
+        """
+        return (self - self.conjugate()) * (self.field.i() * Fraction(-1, 2))
 
     # -- printing ---------------------------------------------------------------
 

@@ -320,7 +320,7 @@ def canonical_form_matrix(mult: MultiplicationDatum, coords: CanonicalFormCoords
     else:
         top = a + field.i() * b
         m_ab = Mat.from_rows([[z, top], [top.conjugate(), z]])
-    ti = mult.diagonalizer.inv()
+    ti = mult.diagonalizer_inv
     m = ti.transpose() @ m_ab @ ti.conj()
     return HermForm(m)
 
@@ -337,22 +337,55 @@ def _check_sqrt_basis(mult: MultiplicationDatum, e1, e2):
         raise NotABasis("e1, e2, De1, De2 do not span the lattice rationally")
 
 
-def lambda_map(t: Torus, mult: MultiplicationDatum, e1, e2,
-               coords: CanonicalFormCoords) -> tuple[Fraction, Fraction]:
-    """(E_{a,b}(e1, e2), E_{a,b}(e1, D e2)) for lattice vectors e1, e2.
+class LambdaMap:
+    """lambda(a, b) = (E_{a,b}(e1, e2), E_{a,b}(e1, D e2)) on one basis.
 
     e1 and e2 are rational coordinate vectors in the lattice basis and
-    must form a Q(sqrt d)-basis.  Both values are certified rational.
+    must form a Q(sqrt d)-basis.  Everything that does not depend on
+    (a, b) is set up once: the basis check, the images z1, z2, D z2 in
+    the field of the multiplication, the basis images l1 = lambda(1, 0)
+    and l2 = lambda(0, 1), and 1 / det L for L = (l1 | l2), so that
+    inverse() needs no field division.  det L = 0 raises DivisionByZero.
+    values() still builds the canonical form of (a, b) and evaluates
+    Im H exactly on every call.
     """
-    _check_sqrt_basis(mult, e1, e2)
-    herm = canonical_form_matrix(mult, coords)
-    field = herm.M.field
-    pi = t.period.entries.map(lambda v: v.in_field(field))
-    z1 = pi.mul_vec(e1)
-    z2 = pi.mul_vec(e2)
-    dz2 = pi.mul_vec(mult.r_times(e2))
-    u = herm.imag_value(z1, z2)
-    v = herm.imag_value(z1, dz2)
+
+    def __init__(self, t: Torus, mult: MultiplicationDatum, e1, e2):
+        _check_sqrt_basis(mult, e1, e2)
+        self.mult = mult
+        field = mult.field
+        pi = t.period.entries.map(lambda v: v.in_field(field))
+        self.z1 = pi.mul_vec(e1)
+        self.z2 = pi.mul_vec(e2)
+        self.dz2 = pi.mul_vec(mult.r_times(e2))
+        one, zero = field.one(), field.zero()
+        self.l1 = self.values(CanonicalFormCoords(a=one, b=zero))
+        self.l2 = self.values(CanonicalFormCoords(a=zero, b=one))
+        det = self.l1[0] * self.l2[1] - self.l2[0] * self.l1[1]
+        self.det_inv = 1 / det
+
+    def values(self, coords: CanonicalFormCoords):
+        """Field-valued lambda: (E_{a,b}(e1,e2), E_{a,b}(e1,De2)), both real."""
+        herm = canonical_form_matrix(self.mult, coords)
+        return herm.imag_value(self.z1, self.z2), herm.imag_value(self.z1, self.dz2)
+
+    def inverse(self, u, v) -> CanonicalFormCoords:
+        """Solve lambda(a, b) = (u, v); u and v are rationals or real field elements."""
+        field = self.mult.field
+        u_f = u.in_field(field) if isinstance(u, FieldElement) else field.rational(u)
+        v_f = v.in_field(field) if isinstance(v, FieldElement) else field.rational(v)
+        (p, q), (r, s) = self.l1, self.l2
+        return CanonicalFormCoords(a=(u_f * s - r * v_f) * self.det_inv,
+                                   b=(p * v_f - u_f * q) * self.det_inv)
+
+
+def lambda_map(t: Torus, mult: MultiplicationDatum, e1, e2,
+               coords: CanonicalFormCoords) -> tuple[Fraction, Fraction]:
+    """(E_{a,b}(e1, e2), E_{a,b}(e1, D e2)), both certified rational.
+
+    Irrational values raise NotRational: e1, e2 are not lattice vectors.
+    """
+    u, v = LambdaMap(t, mult, e1, e2).values(coords)
     if not (u.is_rational() and v.is_rational()):
         raise NotRational("lambda values are irrational; e1, e2 are not lattice vectors")
     return u.rational_value(), v.rational_value()
@@ -361,37 +394,13 @@ def lambda_map(t: Torus, mult: MultiplicationDatum, e1, e2,
 def lambda_values(t: Torus, mult: MultiplicationDatum, e1, e2,
                   coords: CanonicalFormCoords):
     """Field-valued lambda: (E_{a,b}(e1,e2), E_{a,b}(e1,De2)), both real."""
-    _check_sqrt_basis(mult, e1, e2)
-    return _lambda_of(t, mult, e1, e2, coords.a, coords.b)
+    return LambdaMap(t, mult, e1, e2).values(coords)
 
 
 def lambda_inverse(t: Torus, mult: MultiplicationDatum, e1, e2,
                    u, v) -> CanonicalFormCoords:
-    """Solve lambda(a, b) = (u, v); the 2x2 system is exactly invertible.
-
-    u and v may be rationals or real field elements.
-    """
-    _check_sqrt_basis(mult, e1, e2)
-    field = mult.field
-    one, zero = field.one(), field.zero()
-    l1 = _lambda_of(t, mult, e1, e2, one, zero)
-    l2 = _lambda_of(t, mult, e1, e2, zero, one)
-    det = l1[0] * l2[1] - l2[0] * l1[1]
-    u_f = u.in_field(field) if isinstance(u, FieldElement) else field.rational(u)
-    v_f = v.in_field(field) if isinstance(v, FieldElement) else field.rational(v)
-    a = (u_f * l2[1] - l2[0] * v_f) / det
-    b = (l1[0] * v_f - u_f * l1[1]) / det
-    return CanonicalFormCoords(a=a, b=b)
-
-
-def _lambda_of(t, mult, e1, e2, a, b):
-    herm = canonical_form_matrix(mult, CanonicalFormCoords(a=a, b=b))
-    field = herm.M.field
-    pi = t.period.entries.map(lambda v: v.in_field(field))
-    z1 = pi.mul_vec(e1)
-    z2 = pi.mul_vec(e2)
-    dz2 = pi.mul_vec(mult.r_times(e2))
-    return herm.imag_value(z1, z2), herm.imag_value(z1, dz2)
+    """Solve lambda(a, b) = (u, v); the 2x2 system is exactly invertible."""
+    return LambdaMap(t, mult, e1, e2).inverse(u, v)
 
 
 def e_table(t: Torus, mult: MultiplicationDatum, e1, e2,
@@ -558,6 +567,7 @@ def polarization_search(ns: NSLattice, seed: int = 0) -> Polarization | None:
 class AlgebraicityVerdict:
     status: str                    # "algebraic" | "not-algebraic" | "unknown"
     certificate: dict
+    polarization: Polarization | None = None   # the certified form when "algebraic"
 
     @property
     def is_algebraic(self):
@@ -623,7 +633,8 @@ def is_algebraic(t: Torus, mults=(), seed: int = 0,
         orientation, is negative semidefinite (exact principal minors).
 
     Algebraic requires an exactly certified positive definite integral
-    form from polarization_search; otherwise the verdict is Unknown.
+    form from polarization_search, returned as the verdict's
+    polarization; otherwise the verdict is Unknown.
     """
     if ns is None:
         ns = compute_ns(t)
@@ -657,7 +668,7 @@ def is_algebraic(t: Torus, mults=(), seed: int = 0,
             "coords": list(found.coords),
             "E": [list(r) for r in found.alt.E],
             "M": found.herm.M.entries_str(),
-        })
+        }, polarization=found)
     return AlgebraicityVerdict("unknown", {"kind": "search-exhausted"})
 
 

@@ -44,13 +44,13 @@ from .exactfield import (
 from .linalg import Mat, coords_in_rows, rref
 from .neronseveri import (
     CanonicalFormCoords,
+    LambdaMap,
+    NSLattice,
     choose_sqrt_basis,
     compute_N_D,
     compute_ns,
     e_table,
     is_algebraic,
-    lambda_inverse,
-    lambda_values,
     polarization_search,
     transport_to_diagonal,
 )
@@ -217,10 +217,12 @@ def _monomial_elements(field: NumberField):
 # verifiers
 # ---------------------------------------------------------------------------
 
-def verify_proposition(t: Torus, mult: MultiplicationDatum,
-                       seed: int = 0) -> VerificationReport:
+def verify_proposition(t: Torus, mult: MultiplicationDatum, seed: int = 0,
+                       ns: NSLattice | None = None) -> VerificationReport:
     """Check rank N_D = 2, the definiteness dichotomy, the value table
-    and the lambda round trip for one (torus, multiplication) pair."""
+    and the lambda round trip for one (torus, multiplication) pair.
+
+    ns, when given, is compute_ns(t) computed by the caller."""
     ids = ["proposition.nd-rank-2",
            "proposition.positive-definite-in-nd" if mult.d > 0
            else "proposition.antidiagonal-on-nd-basis",
@@ -230,7 +232,8 @@ def verify_proposition(t: Torus, mult: MultiplicationDatum,
         return VerificationReport(tuple(
             Claim(cid, "skipped", reason="ScalarD") for cid in ids))
     claims = []
-    ns = compute_ns(t)
+    if ns is None:
+        ns = compute_ns(t)
     nd = compute_N_D(ns, mult)
     witness_nd = {"rank": nd.rank,
                   "basis_E": [[list(r) for r in alt.E] for alt, _ in nd.basis]}
@@ -269,11 +272,11 @@ def verify_proposition(t: Torus, mult: MultiplicationDatum,
                         witness=table_witness))
     rng = random.Random(1000003 * seed + 777)
     bad_pair = None
+    lam = LambdaMap(t, mult, e1, e2)
     for _ in range(100):
         u = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
         v = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-        coords = lambda_inverse(t, mult, e1, e2, u, v)
-        u2, v2 = lambda_values(t, mult, e1, e2, coords)
+        u2, v2 = lam.values(lam.inverse(u, v))
         if not (u2 == u and v2 == v):
             bad_pair = {"u": str(u), "v": str(v), "u2": str(u2), "v2": str(v2)}
             break
@@ -314,8 +317,7 @@ def verify_corollaries(t: Torus, mults=(), seed: int = 0) -> VerificationReport:
         claims.extend(Claim(cid, "skipped", reason=reason) for cid in later)
         return VerificationReport(tuple(claims))
 
-    pol = polarization_search(ns, seed=seed)
-    assert pol is not None  # verdict said algebraic with this seed
+    pol = verdict.polarization
     mult = negative[0]
     nd = compute_N_D(ns, mult)
     claims.append(Claim(later[0], "verified" if ns.rank >= 3 else "refuted",

@@ -111,6 +111,7 @@ class MultiplicationDatum:
     epsilon: int
     is_scalar: bool
     diagonalizer: Mat | None        # columns: +sqrt(d) then -sqrt(d) eigenvectors
+    diagonalizer_inv: Mat | None
     sqrt_d: FieldElement | None
     field: NumberField              # field of D and the diagonalizer
 
@@ -173,6 +174,7 @@ def attach_multiplication(t: Torus, d_analytic, d: int) -> MultiplicationDatum:
     scalar = (dmat[0, 1].is_zero() and dmat[1, 0].is_zero()
               and dmat[0, 0] == dmat[1, 1])
     diagonalizer = None
+    diagonalizer_inv = None
     sqrt_d = None
     if not scalar:
         field, sqrt_d = sqrt_element(field, d)
@@ -180,11 +182,13 @@ def attach_multiplication(t: Torus, d_analytic, d: int) -> MultiplicationDatum:
         plus = _eigenvector_2x2(dmat, sqrt_d)
         minus = _eigenvector_2x2(dmat, -sqrt_d)
         diagonalizer = Mat.from_rows([[plus[0], minus[0]], [plus[1], minus[1]]])
-        check = diagonalizer.inv() @ dmat @ diagonalizer
+        diagonalizer_inv = diagonalizer.inv()
+        check = diagonalizer_inv @ dmat @ diagonalizer
         assert check == Mat.diagonal([sqrt_d, -sqrt_d])
     return MultiplicationDatum(
         D_analytic=dmat, R=tuple(r_rows), d=d, epsilon=1 if d > 0 else -1,
-        is_scalar=scalar, diagonalizer=diagonalizer, sqrt_d=sqrt_d, field=field)
+        is_scalar=scalar, diagonalizer=diagonalizer,
+        diagonalizer_inv=diagonalizer_inv, sqrt_d=sqrt_d, field=field)
 
 
 def _eigenvector_2x2(m: Mat, eigenvalue: FieldElement):

@@ -13,6 +13,7 @@ from toruslab.linalg import Mat
 from toruslab.neronseveri import (
     CanonicalFormCoords,
     HermForm,
+    LambdaMap,
     canonical_form_coordinates,
     canonical_form_matrix,
     choose_sqrt_basis,
@@ -216,6 +217,20 @@ def test_lambda_requires_basis(d2_lattice):
     de1 = (F(0), F(0), F(1), F(0))   # De1 is in the Q(sqrt d) span of e1
     with pytest.raises(NotABasis):
         lambda_map(torus, mult, e1, de1, coords)
+
+
+@pytest.mark.parametrize("lattice", ["d2_lattice", "cm_product"])
+def test_lambda_map_object_roundtrip(lattice, request):
+    torus, mult = request.getfixturevalue(lattice)
+    e1, e2 = choose_sqrt_basis(torus, mult)
+    lam = LambdaMap(torus, mult, e1, e2)
+    for u, v in ((F(1), F(0)), (F(-3, 4), F(5, 7)), (F(0), F(9, 2))):
+        coords = lam.inverse(u, v)
+        assert lam.values(coords) == (u, v)
+        assert lambda_inverse(torus, mult, e1, e2, u, v) == coords
+        assert lambda_values(torus, mult, e1, e2, coords) == (u, v)
+    with pytest.raises(NotABasis):
+        LambdaMap(torus, mult, e1, mult.r_times(e1))
 
 
 @settings(max_examples=25, deadline=None)

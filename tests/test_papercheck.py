@@ -1,8 +1,11 @@
 import json
+import pathlib
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 
+from toruslab import cli, neronseveri, papercheck
 from toruslab.errors import (
     IndependenceSuspect,
     PerfectSquare,
@@ -20,6 +23,8 @@ from toruslab.papercheck import (
 )
 from toruslab.torus import attach_multiplication
 from conftest import CBRT3_SPEC
+
+DATA = pathlib.Path(__file__).resolve().parent / "data"
 
 
 # ---------------------------------------------------------------------------
@@ -159,3 +164,41 @@ def test_witnesses_recheckable(example1_m1):
         for r in range(4):
             for c in range(4):
                 assert e_rows[r][c] == -e_rows[c][r]
+
+
+@pytest.mark.parametrize("d, seed", [(-2, 1), (-5, 1), (3, 2)])
+def test_verify_proposition_matches_golden_report(d, seed):
+    # reports captured from the per-pair lambda_inverse/lambda_values round trip
+    t, m = random_torus_with_sqrt_d(d, seed)
+    golden = json.loads((DATA / f"verify_prop_random_d{d}_seed{seed}.json").read_text())
+    assert verify_proposition(t, m, seed=seed).to_dict() == golden
+
+
+def test_polarization_search_runs_once(cm_product, monkeypatch):
+    torus, mult = cm_product
+    search = neronseveri.polarization_search
+    calls = []
+
+    def counted(ns, seed=0):
+        calls.append(seed)
+        return search(ns, seed=seed)
+
+    for mod in (neronseveri, papercheck, cli):
+        monkeypatch.setattr(mod, "polarization_search", counted, raising=False)
+
+    class Doc:
+        def realize(self):
+            return torus, [mult]
+
+    out, _ = cli._cmd_polarize(Doc(), SimpleNamespace(seed=0, precision=128))
+    assert out["witnesses"]["verdict"] == "algebraic"
+    assert len(calls) == 1
+    calls.clear()
+    report = verify_corollaries(torus, [mult])
+    assert report.skipped()[0].claim_id == "corollary1.algebraic"
+    assert not report.refuted()
+    assert len(calls) == 1
+
+    ns = neronseveri.compute_ns(torus)
+    verdict = neronseveri.is_algebraic(torus, mults=[mult], ns=ns)
+    assert verdict.polarization == search(ns, seed=0)
