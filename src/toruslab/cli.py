@@ -30,7 +30,14 @@ from .errors import (
     UnrecognizedStructure,
     ValidationError,
 )
-from .exactfield import CONJ_IMAG, CONJ_REAL, FieldElement, GeneratorSpec, NumberField
+from .exactfield import (
+    CONJ_IMAG,
+    CONJ_REAL,
+    FieldElement,
+    GeneratorSpec,
+    NumberField,
+    frac_str,
+)
 from .linalg import Mat
 from .neronseveri import compute_N_D, compute_ns, is_algebraic
 from .torus import PeriodMatrix, attach_multiplication, build_torus
@@ -208,15 +215,11 @@ class TorusDocument:
 def _gen_to_json(g: GeneratorSpec) -> dict:
     return {
         "name": g.name,
-        "min_poly": [_frac_to_str(c) for c in g.min_poly],
-        "root": {"re": [_frac_to_str(v) for v in g.root_re],
-                 "im": [_frac_to_str(v) for v in g.root_im]},
+        "min_poly": [frac_str(c) for c in g.min_poly],
+        "root": {"re": [frac_str(v) for v in g.root_re],
+                 "im": [frac_str(v) for v in g.root_im]},
         "conj": g.conj,
     }
-
-
-def _frac_to_str(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
 def _frac_from_json(v, where: str) -> Fraction:

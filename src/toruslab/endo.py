@@ -30,10 +30,9 @@ from .errors import (
     NotStable,
     UnrecognizedStructure,
 )
-from .exactfield import exact_sign, squarefree_decomposition
+from .exactfield import eliminate, exact_sign, squarefree_decomposition
 from .linalg import (
     Mat,
-    clear_denominators,
     complete_to_unimodular,
     coords_in_rows,
     hnf,
@@ -41,8 +40,9 @@ from .linalg import (
     lattice_points_in_box,
     rational_kernel,
     rref,
+    solve_rational,
 )
-from .torus import Torus
+from .torus import Torus, lattice_action
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -218,7 +218,6 @@ def min_poly_rational_matrix(rows):
         vecs.append([v for r in power for v in r])
         span = [list(col) for col in zip(*vecs[:-1])] if len(vecs) > 1 else None
         if span is not None:
-            from .linalg import solve_rational
             sol = solve_rational(span, vecs[-1])
             if sol is not None:
                 return tuple([-c for c in sol] + [_F1])
@@ -303,7 +302,6 @@ def classify_algebra(ring: EndoRing) -> AlgebraClass:
 
 
 def _non_rational_center_element(ring, center):
-    e0 = [_F1] + [_F0] * (ring.rank - 1)
     for v in center:
         if any(v[k] != 0 for k in range(1, ring.rank)):
             return v
@@ -329,21 +327,13 @@ def _classify_quaternion(ring: EndoRing) -> AlgebraClass:
             anti = [x + y for x, y in zip(ring.multiply_coords(pure[a], pure[b]),
                                           ring.multiply_coords(pure[b], pure[a]))]
             gram[a][b] = -scalar_of(anti) / 2
-    minors = [
-        gram[0][0],
-        gram[0][0] * gram[1][1] - gram[0][1] * gram[1][0],
-        _det3(gram),
-    ]
-    definite = all(m > 0 for m in minors)
+    definite = True
+    for k in (1, 2, 3):
+        pivots, minor = eliminate([row[:k] for row in gram[:k]], reduced=False)
+        definite = definite and len(pivots) == k and minor > 0
     tag = "DefiniteQuaternion" if definite else "IndefiniteQuaternion"
     data = _quaternion_generators(ring, pure, gram)
     return AlgebraClass(tag, data)
-
-
-def _det3(m):
-    return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
 
 
 def _quaternion_generators(ring, pure, gram):
@@ -443,21 +433,19 @@ def check_in_ns(t: Torus, m0: Mat, require_positive: bool) -> None:
     cols = [t.period.column(k) for k in range(4)]
     for k in range(4):
         for l in range(k + 1, 4):
-            h = _herm_value(m0, cols[k], cols[l])
+            h = hermitian_value(m0, cols[k], cols[l])
             e = h.imag_part()
             if not e.is_rational() or e.rational_value().denominator != 1:
                 raise NotPolarization(
                     f"Im H(lambda_{k+1}, lambda_{l+1}) = {e} is not integral")
 
 
-def _herm_value(m: Mat, x, y):
+def hermitian_value(m: Mat, x, y):
     """H(x, y) = x^t M conj(y) for 2-vectors over the field."""
-    field = m.field
-    acc = field.zero()
+    acc = m.field.zero()
     for r in range(2):
         for c in range(2):
-            term = x[r] * m[r, c] * y[c].conjugate()
-            acc = acc + term
+            acc = acc + x[r] * m[r, c] * y[c].conjugate()
     return acc
 
 
@@ -493,26 +481,11 @@ def rosati_involution(ring: EndoRing, h0) -> RosatiData:
 
 
 def _rational_rep(t: Torus, a: Mat):
-    field = a.field
-    big = t.big_p.map(lambda x: x.in_field(field))
-    big_inv = t.big_p_inv.map(lambda x: x.in_field(field))
-    z = field.zero()
-    block = Mat.from_rows([
-        [a[0, 0], a[0, 1], z, z],
-        [a[1, 0], a[1, 1], z, z],
-        [z, z, a[0, 0].conjugate(), a[0, 1].conjugate()],
-        [z, z, a[1, 0].conjugate(), a[1, 1].conjugate()],
-    ])
-    r = big_inv @ block @ big
-    out = []
-    for i in range(4):
-        row = []
-        for j in range(4):
-            if not r[i, j].is_rational():
-                return None
-            row.append(r[i, j].rational_value())
-        out.append(row)
-    return out
+    """The lattice action of A as rational rows, or None if it is not rational."""
+    r = lattice_action(t, a)
+    if not all(x.is_rational() for row in r.rows for x in row):
+        return None
+    return [[x.rational_value() for x in row] for row in r.rows]
 
 
 def _verify_involution(ros: RosatiData) -> None:

@@ -701,11 +701,11 @@ class FieldElement:
                     parts.append(f"{names[j]}^{e}")
             mono = "*".join(parts)
             if not mono:
-                terms.append((c, _frac_str(abs(c))))
+                terms.append((c, frac_str(abs(c))))
             elif abs(c) == 1:
                 terms.append((c, mono))
             else:
-                terms.append((c, f"{_frac_str(abs(c))}*{mono}"))
+                terms.append((c, f"{frac_str(abs(c))}*{mono}"))
         if not terms:
             return "0"
         out = []
@@ -720,7 +720,8 @@ class FieldElement:
         return f"FieldElement({self})"
 
 
-def _frac_str(q: Fraction) -> str:
+def frac_str(q: Fraction) -> str:
+    """``n`` or ``n/d``: the printed form of a rational everywhere."""
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
@@ -743,31 +744,73 @@ def _field_div(a: FieldElement, b: FieldElement) -> FieldElement:
             for idx, r in row[k]:
                 cols[k][idx] += cb * r
     aug = [[cols[k][r] for k in range(n)] + [a.coeffs[r]] for r in range(n)]
-    sol = _solve_square(aug, n)
-    if sol is None:
+    pivots, _ = eliminate(aug)
+    if pivots != list(range(n)):
         raise NotInvertible(
             "division matrix is singular; declared independence is violated")
-    return FieldElement(a.field, tuple(sol))
+    return FieldElement(a.field, tuple(row[n] for row in aug))
 
 
-def _solve_square(aug, n):
-    """Gaussian elimination on an n x (n+1) augmented rational matrix."""
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if aug[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
-    return [aug[r][n] for r in range(n)]
+# ---------------------------------------------------------------------------
+# exact Gaussian elimination
+# ---------------------------------------------------------------------------
+
+def eliminate(rows, reduced: bool = True):
+    """Gaussian elimination in place; returns (pivot columns, signed pivot product).
+
+    ``rows`` is a list of lists whose entries are all Fractions or all
+    FieldElements of one field; a zero entry is falsy.  The pivot of each
+    column is the first nonzero entry at or below the current row, so the
+    result is deterministic.  With ``reduced`` the rows end in reduced row
+    echelon form (pivots 1, zeros above and below).  Without it only the
+    forward pass runs: no pivot is normalized and nothing above a pivot is
+    cleared, which is all a determinant needs.
+
+    The second value is the product of the pivots, negated once per row
+    swap, or None when there is no pivot.  For a square matrix it is the
+    determinant exactly when every column has a pivot; with fewer pivots
+    the matrix is singular.
+    """
+    m = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    det = None
+    negate = False
+    r = 0
+    for c in range(ncols):
+        if r == m:
+            break
+        p = next((k for k in range(r, m) if rows[k][c]), None)
+        if p is None:
+            continue
+        if p != r:
+            rows[r], rows[p] = rows[p], rows[r]
+            negate = not negate
+        prow = rows[r]
+        piv = prow[c]
+        det = piv if det is None else det * piv
+        if reduced:
+            inv = 1 / piv
+            prow[c:] = [v * inv if v else v for v in prow[c:]]
+            targets = [k for k in range(m) if k != r and rows[k][c]]
+        else:
+            targets = [k for k in range(r + 1, m) if rows[k][c]]
+            if targets:
+                inv = 1 / piv
+        if targets:
+            zero = piv - piv
+            tail = prow[c + 1:]
+            for k in targets:
+                row = rows[k]
+                f = row[c] if reduced else row[c] * inv
+                row[c] = zero
+                row[c + 1:] = [v - f * w if w else v
+                               for v, w in zip(row[c + 1:], tail)]
+        pivots.append(c)
+        r += 1
+    if negate:
+        det = -det
+    return pivots, det
 
 
 # ---------------------------------------------------------------------------

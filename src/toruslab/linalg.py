@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import DegenerateLattice
-from .exactfield import FieldElement, NumberField, union_field
+from .exactfield import FieldElement, NumberField, eliminate, union_field
 
 _F0 = Fraction(0)
 
@@ -147,50 +147,18 @@ class Mat:
         m, n = self.shape
         if m != n:
             raise ValueError("determinant of a non-square matrix")
-        rows = [list(r) for r in self.rows]
-        det = self.field.one()
-        for col in range(n):
-            piv = None
-            for r in range(col, n):
-                if not rows[r][col].is_zero():
-                    piv = r
-                    break
-            if piv is None:
-                return self.field.zero()
-            if piv != col:
-                rows[col], rows[piv] = rows[piv], rows[col]
-                det = -det
-            det = det * rows[col][col]
-            inv = self.field.one() / rows[col][col]
-            rows[col] = [x * inv for x in rows[col]]
-            for r in range(col + 1, n):
-                f = rows[r][col]
-                if not f.is_zero():
-                    rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
-        return det
+        pivots, det = eliminate([list(r) for r in self.rows], reduced=False)
+        return det if len(pivots) == n else self.field.zero()
 
     def inv(self) -> "Mat":
         m, n = self.shape
         if m != n:
             raise ValueError("inverse of a non-square matrix")
-        field = self.field
-        aug = [list(r) + list(Mat.identity(field, n).rows[k])
-               for k, r in enumerate(self.rows)]
-        for col in range(n):
-            piv = None
-            for r in range(col, n):
-                if not aug[r][col].is_zero():
-                    piv = r
-                    break
-            if piv is None:
-                raise DegenerateLattice("singular matrix")
-            aug[col], aug[piv] = aug[piv], aug[col]
-            inv = field.one() / aug[col][col]
-            aug[col] = [x * inv for x in aug[col]]
-            for r in range(n):
-                if r != col and not aug[r][col].is_zero():
-                    f = aug[r][col]
-                    aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+        identity = Mat.identity(self.field, n).rows
+        aug = [list(r) + list(e) for r, e in zip(self.rows, identity)]
+        pivots, _ = eliminate(aug)
+        if pivots != list(range(n)):
+            raise DegenerateLattice("singular matrix")
         return Mat(tuple(tuple(row[n:]) for row in aug))
 
     def mul_vec(self, vec):
@@ -228,30 +196,7 @@ class Mat:
 def rref(rows):
     """Reduced row echelon form; returns (rows, pivot_columns)."""
     rows = [list(map(Fraction, r)) for r in rows]
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for k in range(r, len(rows)):
-            if rows[k][c] != 0:
-                piv = k
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [v * inv for v in rows[r]]
-        for k in range(len(rows)):
-            if k != r and rows[k][c] != 0:
-                f = rows[k][c]
-                rows[k] = [v - f * w for v, w in zip(rows[k], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
+    pivots, _ = eliminate(rows)
     return rows, pivots
 
 
@@ -275,12 +220,12 @@ def solve_rational(rows, rhs):
         return [] if all(v == 0 for v in rhs) else None
     ncols = len(rows[0])
     aug = [list(map(Fraction, r)) + [Fraction(b)] for r, b in zip(rows, rhs)]
-    red, pivots = rref(aug)
+    pivots, _ = eliminate(aug)
     if ncols in pivots:
         return None
     x = [_F0] * ncols
     for r, pc in enumerate(pivots):
-        x[pc] = red[r][ncols]
+        x[pc] = aug[r][ncols]
     return x
 
 
@@ -468,10 +413,9 @@ def invert_unimodular(m):
     aug = [[Fraction(v) for v in row] + [Fraction(1 if k == j else 0)
                                          for j in range(n)]
            for k, row in enumerate(m)]
-    red, pivots = rref(aug)
+    pivots, _ = eliminate(aug)
     assert pivots == list(range(n))
-    out = [[int(red[i][n + j]) for j in range(n)] for i in range(n)]
-    return out
+    return [[int(aug[i][n + j]) for j in range(n)] for i in range(n)]
 
 
 def lattice_points_in_box(hnf_rows, bound):
@@ -496,7 +440,7 @@ def lattice_points_in_box(hnf_rows, bound):
         # partial[p] + c * row[p] must land in [-bound, bound]; row[p] > 0
         a = row[p]
         cmin = _ceil_div(-bound - partial[p], a)
-        cmax = _floor_div(bound - partial[p], a)
+        cmax = (bound - partial[p]) // a
         for c in range(cmin, cmax + 1):
             rec(idx + 1, [v + c * w for v, w in zip(partial, row)])
 
@@ -506,7 +450,3 @@ def lattice_points_in_box(hnf_rows, bound):
 
 def _ceil_div(a, b):
     return -((-a) // b)
-
-
-def _floor_div(a, b):
-    return a // b

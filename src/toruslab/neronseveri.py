@@ -26,15 +26,16 @@ from math import gcd
 
 import numpy as np
 
-from .endo import RosatiData, _rational_rep, symmetric_subspace
+from .endo import RosatiData, _rational_rep, hermitian_value, symmetric_subspace
 from .errors import NotABasis, NotInEndo, NotInND, NotRational, NotReal, ScalarD
-from .exactfield import FieldElement, exact_sign, union_field
+from .exactfield import FieldElement, eliminate, exact_sign, union_field
 from .linalg import (
     Mat,
     clear_denominators,
     coords_in_rows,
     kernel_lattice,
     rational_kernel,
+    rref,
     solve_rational,
 )
 from .torus import MultiplicationDatum, Torus
@@ -88,12 +89,7 @@ class HermForm:
             raise ValueError("matrix is not hermitian")
 
     def value(self, x, y) -> FieldElement:
-        field = self.M.field
-        acc = field.zero()
-        for r in range(2):
-            for c in range(2):
-                acc = acc + x[r] * self.M[r, c] * y[c].conjugate()
-        return acc
+        return hermitian_value(self.M, x, y)
 
     def imag_value(self, x, y) -> FieldElement:
         return self.value(x, y).imag_part()
@@ -580,33 +576,10 @@ def _principal_minors_psd(g) -> bool:
     for size in range(1, n + 1):
         for subset in itertools.combinations(range(n), size):
             sub = [[g[a][b] for b in subset] for a in subset]
-            if _det_rational(sub) < 0:
+            pivots, minor = eliminate(sub, reduced=False)
+            if len(pivots) == size and minor < 0:
                 return False
     return True
-
-
-def _det_rational(m):
-    n = len(m)
-    m = [row[:] for row in m]
-    det = _F1
-    for c in range(n):
-        piv = None
-        for r in range(c, n):
-            if m[r][c] != 0:
-                piv = r
-                break
-        if piv is None:
-            return _F0
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = 1 / m[c][c]
-        for r in range(c + 1, n):
-            if m[r][c] != 0:
-                f = m[r][c] * inv
-                m[r] = [v - f * w for v, w in zip(m[r], m[c])]
-    return det
 
 
 def orientation_sign(t: Torus) -> int:
@@ -753,10 +726,9 @@ def _psi_coords(ros: RosatiData, h):
 
 
 def _verify_ns_endo_iso(ros: RosatiData, ns: NSLattice) -> None:
-    from .linalg import rref
     images = [_psi_coords(ros, herm) for _, herm in ns.basis]
     if images:
-        _, pivots = rref([list(map(Fraction, r)) for r in images])
+        _, pivots = rref(images)
         assert len(pivots) == ns.rank, "NS -> End^s map is not injective on the basis"
     _, sym_dim = symmetric_subspace(ros)
     assert sym_dim == ns.rank, "dim NS_Q differs from dim End_Q^s"

@@ -20,7 +20,6 @@ from fractions import Fraction
 from .errors import (
     DegenerateLattice,
     NotAnEndomorphism,
-    NotRational,
     NotReal,
     NotSquareRootOfD,
     PerfectSquare,
@@ -144,16 +143,7 @@ def attach_multiplication(t: Torus, d_analytic, d: int) -> MultiplicationDatum:
     if (dmat @ dmat) != Mat.diagonal([d_elt, d_elt]):
         raise NotSquareRootOfD(f"D^2 is not {d} * identity")
 
-    big = t.big_p.map(lambda x: x.in_field(field))
-    big_inv = t.big_p_inv.map(lambda x: x.in_field(field))
-    z = field.zero()
-    block = Mat.from_rows([
-        [dmat[0, 0], dmat[0, 1], z, z],
-        [dmat[1, 0], dmat[1, 1], z, z],
-        [z, z, dmat[0, 0].conjugate(), dmat[0, 1].conjugate()],
-        [z, z, dmat[1, 0].conjugate(), dmat[1, 1].conjugate()],
-    ])
-    r_field = big_inv @ block @ big
+    r_field = lattice_action(t, dmat)
     r_rows = []
     for r in range(4):
         row = []
@@ -189,6 +179,24 @@ def attach_multiplication(t: Torus, d_analytic, d: int) -> MultiplicationDatum:
         D_analytic=dmat, R=tuple(r_rows), d=d, epsilon=1 if d > 0 else -1,
         is_scalar=scalar, diagonalizer=diagonalizer,
         diagonalizer_inv=diagonalizer_inv, sqrt_d=sqrt_d, field=field)
+
+
+def lattice_action(t: Torus, a: Mat) -> Mat:
+    """P^-1 diag(A, conj A) P over A's field: the 2x2 analytic A on lattice coordinates.
+
+    A maps the lattice into itself exactly when every entry is an integer.
+    """
+    field = a.field
+    big = t.big_p.map(lambda x: x.in_field(field))
+    big_inv = t.big_p_inv.map(lambda x: x.in_field(field))
+    z = field.zero()
+    block = Mat.from_rows([
+        [a[0, 0], a[0, 1], z, z],
+        [a[1, 0], a[1, 1], z, z],
+        [z, z, a[0, 0].conjugate(), a[0, 1].conjugate()],
+        [z, z, a[1, 0].conjugate(), a[1, 1].conjugate()],
+    ])
+    return big_inv @ block @ big
 
 
 def _eigenvector_2x2(m: Mat, eigenvalue: FieldElement):

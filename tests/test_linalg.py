@@ -1,7 +1,8 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+import sympy
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from toruslab.errors import DegenerateLattice
@@ -147,3 +148,97 @@ def test_conj_transpose():
     i, one = f.i(), f.one()
     m = Mat.from_rows([[one, i], [-i, one]])
     assert m.conj_t() == m   # hermitian
+
+
+def test_mat_det_with_zero_leading_entry():
+    f = NumberField(())
+    i, one, zero = f.i(), f.one(), f.zero()
+    assert Mat.from_rows([[zero, i], [one + i, 2 * one]]).det() == one - i
+    # one row swap brings the last row up: the sign flips
+    m = Mat.from_rows([[zero, zero, i], [zero, one, zero], [one, zero, zero]])
+    assert m.det() == -i
+
+
+# ---------------------------------------------------------------------------
+# the elimination kernel against sympy as an independent oracle
+# ---------------------------------------------------------------------------
+
+small_q = st.one_of(small_int.map(F),
+                    st.fractions(min_value=-3, max_value=3, max_denominator=4))
+gauss_int = st.builds(complex, small_int, small_int)
+
+
+@st.composite
+def matrices(draw, entries, square=False):
+    """Up to 4x5 matrices; about half get a last row that combines earlier rows,
+    so singular matrices and zero pivots (row swaps) are common."""
+    m = draw(st.integers(min_value=1, max_value=4))
+    n = m if square else draw(st.integers(min_value=1, max_value=5))
+    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                         min_size=m, max_size=m))
+    if m > 1 and draw(st.booleans()):
+        a, b = draw(entries), draw(entries)
+        rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[(m - 2) // 2])]
+    return rows
+
+
+def _sym(q):
+    return sympy.Rational(q.numerator, q.denominator)
+
+
+def _frac(x):
+    return F(int(x.p), int(x.q))
+
+
+def _coords(x):
+    """(re, im) of a sympy Gaussian rational, as Fractions."""
+    x = sympy.expand(x)
+    return _frac(sympy.re(x)), _frac(sympy.im(x))
+
+
+@seed(1998)
+@settings(max_examples=80, deadline=None)
+@given(matrices(small_q))
+def test_rref_matches_sympy(rows):
+    red, pivots = rref(rows)
+    ref, ref_pivots = sympy.Matrix([[_sym(v) for v in r] for r in rows]).rref()
+    assert pivots == list(ref_pivots)
+    assert red == [[_frac(ref[i, j]) for j in range(ref.cols)] for i in range(ref.rows)]
+
+
+@seed(1998)
+@settings(max_examples=80, deadline=None)
+@given(matrices(gauss_int, square=True))
+def test_mat_det_and_inv_match_sympy_over_gaussian_integers(rows):
+    f = NumberField(())
+    i = f.i()
+    m = Mat.from_rows([[f.rational(int(z.real)) + i * int(z.imag) for z in r]
+                       for r in rows])
+    ref = sympy.Matrix([[int(z.real) + sympy.I * int(z.imag) for z in r] for r in rows])
+    ref_det = _coords(ref.det(method="bareiss"))
+    assert m.det().coeffs == ref_det
+    if ref_det == (0, 0):
+        with pytest.raises(DegenerateLattice):
+            m.inv()
+        return
+    n = len(rows)
+    ref_inv = ref.inv()
+    assert [[x.coeffs for x in r] for r in m.inv().rows] == \
+        [[_coords(ref_inv[r, c]) for c in range(n)] for r in range(n)]
+
+
+@seed(1998)
+@settings(max_examples=80, deadline=None)
+@given(matrices(small_q), st.lists(small_q, min_size=4, max_size=4))
+def test_solve_rational_matches_sympy(rows, rhs):
+    rhs = rhs[:len(rows)]
+    a = sympy.Matrix([[_sym(v) for v in r] for r in rows])
+    b = sympy.Matrix([_sym(v) for v in rhs])
+    x = solve_rational(rows, rhs)
+    assert (x is not None) == (a.rank() == a.row_join(b).rank())
+    if x is None:
+        return
+    assert a * sympy.Matrix([_sym(v) for v in x]) == b
+    # the particular solution: every free variable is zero
+    _, ref_pivots = a.rref()
+    assert all(x[c] == 0 for c in range(a.cols) if c not in ref_pivots)
