@@ -1,6 +1,10 @@
 """Regenerate the bundled torus documents in tori/.
 
 Run from the repository root:  python scripts/gen_bundled_tori.py
+
+Every document except example1_m2 is written by ``toruslab gen-example``;
+example1_m2 needs the cube root of 3 as its generator, which gen-example
+does not offer, so it is built here.
 """
 
 import pathlib
@@ -10,10 +14,8 @@ from fractions import Fraction
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from toruslab import papercheck
-from toruslab.cli import document_from_torus
-from toruslab.exactfield import GeneratorSpec, sqrt_element
-from toruslab.linalg import Mat
-from toruslab.torus import attach_multiplication
+from toruslab.cli import document_from_torus, run_command
+from toruslab.exactfield import GeneratorSpec
 
 OUT = pathlib.Path(__file__).resolve().parent.parent / "tori"
 
@@ -25,35 +27,27 @@ CBRT3 = GeneratorSpec(
     conj="real",
 )
 
-
-def scalar_with_mult(m):
-    torus = papercheck.scalar_cm_product(m)
-    _, mu = sqrt_element(torus.field, -m)
-    mult = attach_multiplication(torus, Mat.diagonal([mu, -mu]), -m)
-    return torus, [mult]
+# document name -> gen-example arguments
+GEN_EXAMPLE = {
+    "example1_m1.json": ["1", "--m", "1"],
+    "example2_m1_n2.json": ["2", "--m", "1", "--n", "2"],
+    "example2_m2_n3.json": ["2", "--m", "2", "--n", "3"],
+    "scalar_m1.json": ["scalar", "--m", "1"],
+    "scalar_m2.json": ["scalar", "--m", "2"],
+    "random_d2_seed1.json": ["random", "--d", "2", "--seed", "1"],
+    "random_d3_seed1.json": ["random", "--d", "3", "--seed", "1"],
+}
 
 
 def main():
     OUT.mkdir(exist_ok=True)
-    docs = {}
-    t, m = papercheck.example1(1)
-    docs["example1_m1.json"] = document_from_torus(t, [m])
+    for name, args in GEN_EXAMPLE.items():
+        if run_command(["gen-example", *args, "-o", str(OUT / name)]) != 0:
+            sys.exit(f"gen-example {' '.join(args)} failed")
     t, m = papercheck.example1(2, CBRT3)
-    docs["example1_m2.json"] = document_from_torus(t, [m])
-    t, m = papercheck.example2(1, 2)
-    docs["example2_m1_n2.json"] = document_from_torus(t, [m])
-    t, m = papercheck.example2(2, 3)
-    docs["example2_m2_n3.json"] = document_from_torus(t, [m])
-    for m_val in (1, 2):
-        t, ms = scalar_with_mult(m_val)
-        docs[f"scalar_m{m_val}.json"] = document_from_torus(t, ms)
-    for d in (2, 3):
-        t, m = papercheck.random_torus_with_sqrt_d(d, 1)
-        docs[f"random_d{d}_seed1.json"] = document_from_torus(t, [m])
-    for name, doc in sorted(docs.items()):
-        path = OUT / name
-        path.write_text(doc.to_json_text(), encoding="utf-8")
-        print(f"wrote {path}")
+    path = OUT / "example1_m2.json"
+    path.write_text(document_from_torus(t, [m]).to_json_text(), encoding="utf-8")
+    print(f"wrote {path}")
 
 
 if __name__ == "__main__":

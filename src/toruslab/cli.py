@@ -36,7 +36,9 @@ from .exactfield import (
     FieldElement,
     GeneratorSpec,
     NumberField,
+    embed,
     frac_str,
+    sqrt_element,
 )
 from .linalg import Mat
 from .neronseveri import compute_N_D, compute_ns, is_algebraic
@@ -418,7 +420,6 @@ def _cmd_polarize(doc: TorusDocument, args) -> tuple[dict, int]:
 
 
 def _approx_eigenvalues(m, precision):
-    from .exactfield import embed
     tr = embed(m[0, 0] + m[1, 1], precision).midpoint().real
     det = embed(m.det(), precision).midpoint().real
     disc = max(tr * tr - 4 * det, 0.0) ** 0.5
@@ -452,9 +453,7 @@ def _cmd_gen_example(args) -> tuple[dict, int]:
         doc = document_from_torus(torus, [mult])
     elif kind == "scalar":
         torus = papercheck.scalar_cm_product(args.m)
-        field = torus.field
-        from .exactfield import sqrt_element
-        _, mu = sqrt_element(field, -args.m)
+        _, mu = sqrt_element(torus.field, -args.m)
         mult = attach_multiplication(torus, Mat.diagonal([mu, -mu]), -args.m)
         doc = document_from_torus(torus, [mult])
     elif kind == "random":

@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-import sympy
-
 from .errors import (
     BoundTooLarge,
     NegativeDiscriminant,
@@ -30,7 +28,7 @@ from .errors import (
     NotStable,
     UnrecognizedStructure,
 )
-from .exactfield import eliminate, exact_sign, squarefree_decomposition
+from .exactfield import _count_real_roots, eliminate, exact_sign, squarefree_decomposition
 from .linalg import (
     Mat,
     complete_to_unimodular,
@@ -72,11 +70,6 @@ class EndoRing:
 
     def basis_vecs(self):
         return [list(b.vec()) for b in self.basis]
-
-    def coords_of_matrix(self, r_rows):
-        """Rational coordinates of a 4x4 rational matrix in the ring basis."""
-        vec = [Fraction(v) for row in r_rows for v in row]
-        return coords_in_rows([[Fraction(v) for v in b] for b in self.basis_vecs()], vec)
 
     def element_r(self, coords):
         """R-matrix (Fractions) of a rational coordinate vector."""
@@ -246,6 +239,8 @@ def _center_coords(ring: EndoRing):
 
 
 def _is_irreducible(coeffs) -> bool:
+    import sympy  # here, not at module level: only the CM-quartic branch needs it
+
     x = sympy.Symbol("x")
     poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
                        for c in reversed(coeffs)], x)
@@ -254,10 +249,12 @@ def _is_irreducible(coeffs) -> bool:
 
 
 def _real_root_count(coeffs) -> int:
-    x = sympy.Symbol("x")
-    poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
-                       for c in reversed(coeffs)], x)
-    return len(poly.real_roots())
+    """Distinct real roots of a monic polynomial (constant-first).
+
+    Every root lies inside (-B, B) for the Cauchy bound B = 1 + sum |c_k|.
+    """
+    bound = 1 + sum(abs(c) for c in coeffs[:-1])
+    return _count_real_roots(coeffs, -bound, bound)
 
 
 def classify_algebra(ring: EndoRing) -> AlgebraClass:

@@ -18,18 +18,20 @@ Conventions:
 * zero tests are exact coefficient comparisons; sign tests refine
   interval enclosures and never guess.
 
-No floating-point value ever enters a coefficient.  Intervals have
-rational endpoints, so interval arithmetic here is exact and trivially
-outward-rounded.
+A declared root box is checked once, with a Sturm count over the
+rationals (exactly one root inside, a sign change at the endpoints), and
+is then narrowed by bisection, which halves it at every step.  No
+floating-point value ever enters a coefficient.  Intervals have rational
+endpoints, so interval arithmetic here is exact and trivially
+outward-rounded.  Only the standard library is imported.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import sympy
 
 from .errors import (
     DivisionByZero,
@@ -134,14 +136,6 @@ class GeneratorSpec:
                 f"generator {self.name}: root box does not isolate a single root")
 
 
-def _count_real_roots(coeffs: tuple[Fraction, ...], lo: Fraction, hi: Fraction) -> int:
-    x = sympy.Symbol("x")
-    poly = sympy.Poly(
-        [sympy.Rational(c.numerator, c.denominator) for c in reversed(coeffs)], x)
-    return poly.count_roots(sympy.Rational(lo.numerator, lo.denominator),
-                            sympy.Rational(hi.numerator, hi.denominator))
-
-
 I_SPEC = GeneratorSpec(
     name="i",
     min_poly=(_F1, _F0, _F1),
@@ -171,77 +165,62 @@ def _imul(a, b):
     return (min(p), max(p))
 
 
-def _iadd(a, b):
-    return (a[0] + b[0], a[1] + b[1])
-
-
-def _ipoly_eval(coeffs, iv):
-    acc = (_F0, _F0)
-    for c in reversed(coeffs):
-        acc = _imul(acc, iv)
-        acc = (acc[0] + c, acc[1] + c)
-    return acc
-
-
-def _dyadic_floor(x: Fraction, k: int) -> Fraction:
-    return Fraction((x.numerator << k) // x.denominator, 1 << k)
-
-
-def _dyadic_ceil(x: Fraction, k: int) -> Fraction:
-    return -_dyadic_floor(-x, k)
-
-
 def _sign(x: Fraction) -> int:
     return (x > 0) - (x < 0)
 
 
-def _refine_real_root(coeffs, lo: Fraction, hi: Fraction, target: Fraction):
-    """Shrink an isolating interval below ``target`` width.
+def _poly_rem(a, b) -> list[Fraction]:
+    """Remainder of a by b (b with a nonzero leading coefficient), trimmed."""
+    r = list(a)
+    db = len(b) - 1
+    while len(r) > db:
+        f = r[-1] / b[-1]
+        shift = len(r) - 1 - db
+        for k in range(db):
+            r[shift + k] -= f * b[k]
+        r.pop()
+        while r and r[-1] == 0:
+            r.pop()
+    return r
 
-    Interval Newton with bisection fallback; endpoints are rounded
-    outward onto a dyadic grid to keep coefficient sizes bounded.  The
-    interval must contain exactly one simple root with a sign change at
-    the endpoints (enforced by GeneratorSpec.validate).
+
+def _count_real_roots(coeffs, lo: Fraction, hi: Fraction) -> int:
+    """Number of distinct real roots in (lo, hi], by Sturm's theorem.
+
+    ``coeffs`` is constant-first with a nonzero leading coefficient and
+    positive degree; repeated factors are allowed, since the Sturm chain
+    then ends in their gcd and still counts each root once.
+    """
+    chain = [coeffs, _poly_deriv(coeffs)]
+    while len(chain[-1]) > 1:
+        r = _poly_rem(chain[-2], chain[-1])
+        if not r:
+            break
+        chain.append([-c for c in r])
+
+    def sign_changes(x):
+        signs = [s for s in (_sign(_poly_eval(p, x)) for p in chain) if s]
+        return sum(u != v for u, v in zip(signs, signs[1:]))
+
+    return sign_changes(lo) - sign_changes(hi)
+
+
+def _refine_real_root(coeffs, lo: Fraction, hi: Fraction, target: Fraction):
+    """Shrink an isolating interval to width at most ``target`` by bisection.
+
+    The interval must contain exactly one root with a sign change at the
+    endpoints (enforced by GeneratorSpec.validate); every step halves it,
+    so the loop ends after about log2((hi - lo) / target) steps.
     """
     if lo == hi:
         return lo, hi
-    dcoeffs = _poly_deriv(coeffs)
-    k = max(16, target.denominator.bit_length() + 16)
     sign_lo = _sign(_poly_eval(coeffs, lo))
-    steps = 0
-    cap = 4 * k + 128
     while hi - lo > target:
-        steps += 1
-        if steps > cap:
-            raise PrecisionExhausted(
-                "root refinement stalled; root box is likely malformed")
-        mid = _dyadic_floor((lo + hi) / 2, k)
-        if not (lo < mid < hi):
-            mid = (lo + hi) / 2
-        fm = _poly_eval(coeffs, mid)
-        if fm == 0:
+        mid = (lo + hi) / 2
+        s = _sign(_poly_eval(coeffs, mid))
+        if s == 0:
             return mid, mid
-        dlo, dhi = _ipoly_eval(dcoeffs, (lo, hi))
-        if dlo > 0 or dhi < 0:
-            q1, q2 = fm / dlo, fm / dhi
-            nlo = max(lo, mid - max(q1, q2))
-            nhi = min(hi, mid - min(q1, q2))
-            if nlo > nhi:
-                raise PrecisionExhausted(
-                    "interval Newton emptied the root box; box is malformed")
-            nlo = max(lo, _dyadic_floor(nlo, k))
-            nhi = min(hi, _dyadic_ceil(nhi, k))
-            if nhi - nlo <= Fraction(3, 4) * (hi - lo):
-                slo = _sign(_poly_eval(coeffs, nlo))
-                if slo == 0:
-                    return nlo, nlo
-                shi = _sign(_poly_eval(coeffs, nhi))
-                if shi == 0:
-                    return nhi, nhi
-                if slo != shi:
-                    lo, hi, sign_lo = nlo, nhi, slo
-                    continue
-        if _sign(fm) == sign_lo:
+        if s == sign_lo:
             lo = mid
         else:
             hi = mid
@@ -363,7 +342,6 @@ class NumberField:
     """
 
     generators: tuple[GeneratorSpec, ...]
-    independence_declared: bool = True
 
     def __post_init__(self):
         by_name: dict[str, GeneratorSpec] = {}
@@ -386,7 +364,7 @@ class NumberField:
     def __hash__(self):
         h = self.__dict__.get("_hash")
         if h is None:
-            h = hash((self.generators, self.independence_declared))
+            h = hash(self.generators)
             object.__setattr__(self, "_hash", h)
         return h
 
@@ -395,8 +373,7 @@ class NumberField:
             return True
         if not isinstance(other, NumberField):
             return NotImplemented
-        return (self.generators == other.generators
-                and self.independence_declared == other.independence_declared)
+        return self.generators == other.generators
 
     @property
     def degree(self) -> int:
@@ -440,7 +417,7 @@ class NumberField:
         return FieldElement(self, tuple(coeffs))
 
     def extended(self, extra: tuple[GeneratorSpec, ...]) -> "NumberField":
-        return NumberField(self.generators + tuple(extra), self.independence_declared)
+        return NumberField(self.generators + tuple(extra))
 
 
 class _FieldData:
@@ -509,12 +486,11 @@ def union_field(f1: NumberField, f2: NumberField) -> NumberField:
     if f1 is f2:
         return f1
     s1, s2 = set(f1.generators), set(f2.generators)
-    if s2 <= s1 and f1.independence_declared <= f2.independence_declared:
+    if s2 <= s1:
         return f1
-    if s1 <= s2 and f2.independence_declared <= f1.independence_declared:
+    if s1 <= s2:
         return f2
-    return NumberField(f1.generators + f2.generators,
-                       f1.independence_declared and f2.independence_declared)
+    return NumberField(f1.generators + f2.generators)
 
 
 # ---------------------------------------------------------------------------
@@ -932,9 +908,9 @@ def squarefree_decomposition(n: int) -> tuple[int, int, bool]:
                 n0 *= p
         p += 1 if p == 2 else 2
     if rest > 1:
-        r = sympy.integer_nthroot(rest, 2)
-        if r[1]:
-            k *= r[0]
+        r = math.isqrt(rest)
+        if r * r == rest:
+            k *= r
         else:
             certified = rest <= 10 ** 12
             n0 *= rest
@@ -943,14 +919,14 @@ def squarefree_decomposition(n: int) -> tuple[int, int, bool]:
 
 
 def is_perfect_square(n: int) -> bool:
-    return n >= 0 and sympy.integer_nthroot(n, 2)[1]
+    return n >= 0 and math.isqrt(n) ** 2 == n
 
 
 def sqrt_generator_spec(n0: int) -> GeneratorSpec:
     """Real generator for the positive square root of squarefree n0 > 1."""
     if n0 <= 1:
         raise ValueError("need a squarefree integer > 1")
-    r = sympy.integer_nthroot(n0, 2)[0]
+    r = math.isqrt(n0)
     return GeneratorSpec(
         name=f"sqrt{n0}",
         min_poly=(Fraction(-n0), _F0, _F1),

@@ -24,11 +24,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-import numpy as np
-
 from .endo import RosatiData, _rational_rep, hermitian_value, symmetric_subspace
 from .errors import NotABasis, NotInEndo, NotInND, NotRational, NotReal, ScalarD
-from .exactfield import FieldElement, eliminate, exact_sign, union_field
+from .exactfield import FieldElement, eliminate, embed, exact_sign, union_field
 from .linalg import (
     Mat,
     clear_denominators,
@@ -468,7 +466,8 @@ class Polarization:
 
 def _float_gram_stack(ns: NSLattice):
     """Float 4x4 Gram matrices of Re H (= E(Jx, y)) for each basis form."""
-    from .exactfield import embed
+    import numpy as np
+
     t = ns.torus
     j_float = np.array([[embed(t.J[r, c], 32).midpoint().real for c in range(4)]
                         for r in range(4)])
@@ -505,6 +504,8 @@ def polarization_search(ns: NSLattice, seed: int = 0) -> Polarization | None:
     phases fail; that is "not found under the documented caps", never a
     proof of absence.
     """
+    import numpy as np  # here, not at module level: start-up does not pay for it
+
     r = ns.rank
     if r == 0:
         return None

@@ -69,10 +69,6 @@ class Torus:
         """Pi^+ with Pi * Pi^+ = I_2 (first two columns of P^{-1})."""
         return self.big_p_inv.submatrix(range(4), range(2))
 
-    def lattice_vector(self, coords):
-        """C^2 point of a rational coordinate vector in the lattice basis."""
-        return self.period.entries.mul_vec(coords)
-
 
 def build_torus(period: PeriodMatrix) -> Torus:
     """Certify the lattice condition and assemble the complex structure.

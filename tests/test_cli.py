@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -15,7 +16,7 @@ from toruslab.cli import (
 from toruslab.errors import ParseError, ValidationError
 from toruslab.exactfield import NumberField
 
-from conftest import TORI
+from conftest import REPO, TORI
 
 
 def _run(argv, capsys):
@@ -200,3 +201,17 @@ def test_gen_example_random_matches_bundle(tmp_path, capsys):
                        "-o", str(out_file)], capsys)
     assert code == 0
     assert out_file.read_text() == (TORI / "random_d2_seed1.json").read_text()
+
+
+def test_cli_import_loads_neither_sympy_nor_numpy():
+    # start-up pays only for the standard library; sympy and numpy are
+    # imported by the code paths that use them
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p)
+    code = ("import sys, toruslab.cli; "
+            "print(sorted(m for m in ('sympy', 'numpy') if m in sys.modules))")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True, env=env)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"

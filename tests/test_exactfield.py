@@ -1,7 +1,8 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+import sympy
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from toruslab import exactfield
@@ -22,10 +23,14 @@ from toruslab.exactfield import (
     exact_sign,
     field_arith,
     find_small_relation,
+    is_perfect_square,
     sqrt_element,
     squarefree_decomposition,
     union_field,
 )
+from toruslab.cli import parse_input
+from toruslab.endo import _real_root_count
+from conftest import TORI
 from oracle_helpers import bisection_enclosure
 
 CBRT2 = GeneratorSpec("r", (F(-2), F(0), F(0), F(1)),
@@ -302,3 +307,67 @@ def test_multiquadratic_height_ten_screen():
     assert len(real) == len(imag) == 4
     assert find_small_relation(real, height=10, precision_bits=128) is None
     assert find_small_relation(imag, height=10, precision_bits=128) is None
+
+
+def test_squarefree_decomposition_beyond_trial_division():
+    # cofactors above the trial-division limit go through the integer
+    # square root
+    p, q = 1000003, 1000033
+    assert squarefree_decomposition(2 * p * p) == (p, 2, True)
+    assert squarefree_decomposition(p * q) == (1, p * q, False)
+    assert is_perfect_square(p * p) and not is_perfect_square(p * q)
+    assert not is_perfect_square(-4)
+
+
+# ---------------------------------------------------------------------------
+# real roots: Sturm count and bisection
+# ---------------------------------------------------------------------------
+
+def _poly_mul(a, b):
+    out = [F(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+_q = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+_factor = st.tuples(st.lists(_q, min_size=1, max_size=2),
+                    _q.filter(lambda c: c != 0),
+                    st.integers(min_value=1, max_value=3))
+
+
+@seed(1998)
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_factor, min_size=1, max_size=3), _q, _q)
+def test_count_real_roots_matches_sympy(factors, a, b):
+    # products of linear and quadratic factors, some repeated
+    p = [F(1)]
+    for low, lead, mult in factors:
+        for _ in range(mult):
+            p = _poly_mul(p, low + [lead])
+    lo, hi = min(a, b), max(a, b)
+    assume(lo < hi)
+    assume(exactfield._poly_eval(p, lo) != 0 and exactfield._poly_eval(p, hi) != 0)
+    poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                       for c in reversed(p)], sympy.Symbol("x"))
+    assert exactfield._count_real_roots(p, lo, hi) == poly.count_roots(
+        sympy.Rational(lo.numerator, lo.denominator),
+        sympy.Rational(hi.numerator, hi.denominator))
+    monic = [c / p[-1] for c in p]
+    assert _real_root_count(monic) == poly.count_roots()
+
+
+@pytest.mark.parametrize("bits", [40, 1032])
+def test_refine_real_root_on_bundled_generators(bits):
+    target = F(1, 2 ** bits)
+    specs = {g for path in sorted(TORI.glob("*.json"))
+             for g in parse_input(path.read_text()).generators}
+    assert specs
+    for spec in specs:
+        q = spec.axis_poly()
+        box_lo, box_hi = spec.axis_interval()
+        lo, hi = exactfield._refine_real_root(q, box_lo, box_hi, target)
+        assert box_lo <= lo < hi <= box_hi
+        assert hi - lo <= target
+        assert exactfield._poly_eval(q, lo) * exactfield._poly_eval(q, hi) < 0
