@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .errors import (
     BoundTooLarge,
@@ -31,16 +31,18 @@ from .errors import (
 from .exactfield import _count_real_roots, eliminate, exact_sign, squarefree_decomposition
 from .linalg import (
     Mat,
+    clear_denominators,
     complete_to_unimodular,
     coords_in_rows,
     hnf,
     kernel_lattice,
     lattice_points_in_box,
+    monomial_rows,
     rational_kernel,
     rref,
     solve_rational,
 )
-from .torus import Torus, lattice_action
+from .torus import Torus, lattice_action, lattice_form
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -123,22 +125,9 @@ def compute_endo_ring(t: Torus) -> EndoRing:
     """
     field = t.field
     p, p_inv = t.big_p, t.big_p_inv
-    n_mono = field.degree
-    rows = [[_F0] * 16 for _ in range(4 * n_mono)]
-    for k in range(4):
-        col = p.col(k)
-        for l in range(4):
-            prow = p_inv.row(l)
-            unk = 4 * k + l
-            for a in (2, 3):
-                for b in (0, 1):
-                    entry = col[a] * prow[b]
-                    base = n_mono * (2 * (a - 2) + b)
-                    for m, c in enumerate(entry.coeffs):
-                        if c:
-                            rows[base + m][unk] += c
-    basis_vecs = kernel_lattice(rows, 16)
-    basis_vecs = hnf(basis_vecs)
+    conditions = [[p[a, k] * p_inv[l, b] for k in range(4) for l in range(4)]
+                  for a in (2, 3) for b in (0, 1)]
+    basis_vecs = hnf(kernel_lattice(monomial_rows(conditions), 16))
     id_vec = [1 if k % 5 == 0 else 0 for k in range(16)]
     coords = coords_in_rows([[Fraction(v) for v in b] for b in basis_vecs],
                             [Fraction(v) for v in id_vec])
@@ -420,30 +409,24 @@ class RosatiData:
                 for k in range(n)]
 
 
+def is_positive_definite(h) -> bool:
+    """Exact: leading entry and determinant both positive."""
+    m = h if isinstance(h, Mat) else h.M
+    return exact_sign(m[0, 0]) > 0 and exact_sign(m.det()) > 0
+
+
 def check_in_ns(t: Torus, m0: Mat, require_positive: bool) -> None:
     """H0 hermitian, (optionally) positive definite, integral Im on the lattice."""
     if m0.conj_t() != m0:
         raise NotPolarization("matrix is not hermitian")
-    if require_positive:
-        if exact_sign(m0[0, 0]) <= 0 or exact_sign((m0.det())) <= 0:
-            raise NotPolarization("hermitian form is not positive definite")
-    cols = [t.period.column(k) for k in range(4)]
+    if require_positive and not is_positive_definite(m0):
+        raise NotPolarization("hermitian form is not positive definite")
+    e = lattice_form(t, m0)
     for k in range(4):
         for l in range(k + 1, 4):
-            h = hermitian_value(m0, cols[k], cols[l])
-            e = h.imag_part()
-            if not e.is_rational() or e.rational_value().denominator != 1:
+            if not e[k, l].is_rational() or e[k, l].rational_value().denominator != 1:
                 raise NotPolarization(
-                    f"Im H(lambda_{k+1}, lambda_{l+1}) = {e} is not integral")
-
-
-def hermitian_value(m: Mat, x, y):
-    """H(x, y) = x^t M conj(y) for 2-vectors over the field."""
-    acc = m.field.zero()
-    for r in range(2):
-        for c in range(2):
-            acc = acc + x[r] * m[r, c] * y[c].conjugate()
-    return acc
+                    f"Im H(lambda_{k+1}, lambda_{l+1}) = {e[k, l]} is not integral")
 
 
 def rosati_involution(ring: EndoRing, h0) -> RosatiData:
@@ -558,28 +541,21 @@ def find_real_multiplication(ros: RosatiData) -> RealMultiplication:
                 "this contradicts a proved invariant of genuine polarizations")
         if _signed_squarefree(disc) == 1:
             continue
-        beta0 = [[2 * r_alpha[r][c] - (tr if r == c else 0) for c in range(4)]
-                 for r in range(4)]
-        den = 1
-        for row in beta0:
-            for v in row:
-                den = lcm(den, v.denominator)
-        ints = [[int(v * den) for v in row] for row in beta0]
-        g = 0
-        for row in ints:
-            for v in row:
-                g = gcd(g, v)
-        ints = [[v // g for v in row] for row in ints]
+        beta0 = [2 * r_alpha[r][c] - (tr if r == c else 0)
+                 for r in range(4) for c in range(4)]
+        flat = clear_denominators(beta0)
+        ints = [flat[4 * r:4 * r + 4] for r in range(4)]
         sq = _mat_mul_int(tuple(map(tuple, ints)), tuple(map(tuple, ints)))
         d_dbl = sq[0][0]
         assert all(sq[r][c] == (d_dbl if r == c else 0)
                    for r in range(4) for c in range(4))
         assert d_dbl > 0
         _, d0, certified = squarefree_decomposition(d_dbl)
-        scale = Fraction(2 * den, g)
-        a_beta = (ring.element_a(coords).scale(ring.torus.field.rational(scale))
+        # ints = scale * beta0 and beta0 = 2 alpha - tr
+        scale = next(Fraction(n) / v for n, v in zip(flat, beta0) if v)
+        a_beta = (ring.element_a(coords).scale(ring.torus.field.rational(2 * scale))
                   - Mat.identity(ring.torus.field, 2).scale(
-                      ring.torus.field.rational(Fraction(tr * den, g))))
+                      ring.torus.field.rational(tr * scale)))
         beta = Endomorphism(R=tuple(map(tuple, ints)), A=a_beta)
         pi = ring.torus.period.entries
         rmat = Mat.from_rows([[ring.torus.field.rational(v) for v in row]

@@ -281,10 +281,6 @@ class ComplexBox:
         return ComplexBox(self.re_lo + other.re_lo, self.re_hi + other.re_hi,
                           self.im_lo + other.im_lo, self.im_hi + other.im_hi)
 
-    def sub(self, other: "ComplexBox") -> "ComplexBox":
-        return ComplexBox(self.re_lo - other.re_hi, self.re_hi - other.re_lo,
-                          self.im_lo - other.im_hi, self.im_hi - other.im_lo)
-
     def mul(self, other: "ComplexBox") -> "ComplexBox":
         ac = _imul(self.re, other.re)
         bd = _imul(self.im, other.im)

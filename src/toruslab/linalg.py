@@ -74,9 +74,6 @@ class Mat:
     def __getitem__(self, ij):
         return self.rows[ij[0]][ij[1]]
 
-    def row(self, k):
-        return self.rows[k]
-
     def col(self, k):
         return tuple(r[k] for r in self.rows)
 
@@ -227,6 +224,17 @@ def solve_rational(rows, rhs):
     for r, pc in enumerate(pivots):
         x[pc] = aug[r][ncols]
     return x
+
+
+def monomial_rows(conditions):
+    """Rational rows of field-valued linear conditions, one per monomial.
+
+    conditions[r][j] is the coefficient of unknown j in condition r, all
+    in one field.  A rational vector satisfies every condition exactly
+    when the rows annihilate it.
+    """
+    return [[x.coeffs[m] for x in cond]
+            for cond in conditions for m in range(cond[0].field.degree)]
 
 
 def clear_denominators(row):

@@ -1,8 +1,12 @@
 """Neron-Severi lattices of hermitian forms and polarization search.
 
-NS(T) is computed as the lattice of integral alternating forms E on the
-lattice coordinates satisfying J^t E J = E; each E carries its hermitian
-lift H(x, y) = E(ix, y) + i E(x, y) with H(x, y) = x^t M conj(y).
+NS(T) is the lattice of integral alternating forms E on the lattice
+coordinates satisfying J^t E J = E.  With Pi^+ = Torus.right_inverse(),
+P^-1 = [Pi^+ | conj Pi^+], so E is J-compatible exactly when the one
+free entry of (Pi^+)^t E Pi^+ vanishes: one field-valued linear
+condition on the six upper entries of E.  Each E carries its hermitian
+lift H(x, y) = E(ix, y) + i E(x, y) = x^t M conj(y), M = 2i (Pi^+)^t E
+conj(Pi^+); torus.lattice_form evaluates Im H back on the generators.
 
 For a nonscalar multiplication D by sqrt(d), N_D is the saturated
 sublattice of forms whose D-twist H(x, Dy) is again hermitian.  In
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .endo import RosatiData, _rational_rep, hermitian_value, symmetric_subspace
+from .endo import RosatiData, _rational_rep, is_positive_definite, symmetric_subspace
 from .errors import NotABasis, NotInEndo, NotInND, NotRational, NotReal, ScalarD
 from .exactfield import FieldElement, eliminate, embed, exact_sign, union_field
 from .linalg import (
@@ -32,11 +36,11 @@ from .linalg import (
     clear_denominators,
     coords_in_rows,
     kernel_lattice,
+    monomial_rows,
     rational_kernel,
     rref,
-    solve_rational,
 )
-from .torus import MultiplicationDatum, Torus
+from .torus import MultiplicationDatum, Torus, lattice_form
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -87,7 +91,11 @@ class HermForm:
             raise ValueError("matrix is not hermitian")
 
     def value(self, x, y) -> FieldElement:
-        return hermitian_value(self.M, x, y)
+        acc = self.M.field.zero()
+        for r in range(2):
+            for c in range(2):
+                acc = acc + x[r] * self.M[r, c] * y[c].conjugate()
+        return acc
 
     def imag_value(self, x, y) -> FieldElement:
         return self.value(x, y).imag_part()
@@ -143,79 +151,37 @@ class NSLattice:
 
 
 def compute_ns(t: Torus) -> NSLattice:
-    """Saturated basis of {E integral alternating : J^t E J = E} with lifts."""
-    field = t.field
-    n_mono = field.degree
-    rows = [[_F0] * 6 for _ in range(6 * n_mono)]
-    jt = t.J.transpose()
-    for col, (k, l) in enumerate(_PAIRS):
-        e0 = [[0] * 4 for _ in range(4)]
-        e0[k][l], e0[l][k] = 1, -1
-        e0_f = Mat.from_rows([[field.rational(v) for v in r] for r in e0])
-        diff = (jt @ e0_f @ t.J) - e0_f
-        for ridx, (a, b) in enumerate(_PAIRS):
-            entry = diff[a, b]
-            for m, c in enumerate(entry.coeffs):
-                if c:
-                    rows[ridx * n_mono + m][col] += c
-    basis_upper = kernel_lattice(rows, 6)
+    """Saturated basis of the J-compatible integral alternating forms, with lifts.
+
+    E is compatible exactly when (Pi^+)^t E Pi^+ = 0.  Its one free entry
+    is the sum over k < l of e_kl (Pi^+_k0 Pi^+_l1 - Pi^+_l0 Pi^+_k1),
+    linear in the six upper entries of E.
+    """
+    q = t.right_inverse()
+    minors = [q[k, 0] * q[l, 1] - q[l, 0] * q[k, 1] for k, l in _PAIRS]
+    basis_upper = kernel_lattice(monomial_rows([minors]), 6)
     pairs = []
     for upper in basis_upper:
         alt = AltForm.from_upper(upper)
-        herm = hermitian_lift(t, alt)
-        pairs.append((alt, herm))
+        pairs.append((alt, hermitian_lift(t, alt)))
     return NSLattice(torus=t, basis=tuple(pairs))
 
 
 def hermitian_lift(t: Torus, alt: AltForm) -> HermForm:
-    """The hermitian form with Im H = E, via H(x,y) = E(ix,y) + i E(x,y).
+    """The hermitian form with Im H = E: M = 2i (Pi^+)^t E conj(Pi^+).
 
-    Consistency (Im H(lambda_k, lambda_l) = E_kl exactly) is asserted; a
-    failure would mean the compatibility kernel is broken.
+    This is H(x, y) = E(ix, y) + i E(x, y) for a J-compatible E.
+    Consistency (Im H(lambda_k, lambda_l) = E_kl exactly) is asserted; it
+    fails for an E outside NS.
     """
     field = t.field
-    i = field.i()
+    q = t.right_inverse()
     e_f = Mat.from_rows([[field.rational(v) for v in row] for row in alt.E])
-
-    def real_coords(vec2):
-        stacked = list(vec2) + [x.conjugate() for x in vec2]
-        return t.big_p_inv.mul_vec(stacked)
-
-    def e_of(x, y):
-        acc = field.zero()
-        for k in range(4):
-            if x[k].is_zero():
-                continue
-            for l in range(4):
-                if not (e_f[k, l].is_zero() or y[l].is_zero()):
-                    acc = acc + x[k] * e_f[k, l] * y[l]
-        return acc
-
-    one, zero = field.one(), field.zero()
-    units = [(one, zero), (zero, one)]
-    entries = []
-    for j in range(2):
-        row = []
-        xj = real_coords(units[j])
-        xj_i = real_coords((units[j][0] * i, units[j][1] * i))
-        for k in range(2):
-            xk = real_coords(units[k])
-            row.append(e_of(xj_i, xk) + i * e_of(xj, xk))
-        entries.append(row)
-    m = Mat.from_rows(entries)
-    herm = HermForm(m)
-    cols = [t.period.column(k) for k in range(4)]
-    for k in range(4):
-        for l in range(4):
-            assert herm.imag_value(cols[k], cols[l]) == alt.E[k][l], \
-                "hermitian lift is inconsistent with its alternating form"
+    herm = HermForm((q.transpose() @ e_f @ q.conj()).scale(field.i() * 2))
+    e = lattice_form(t, herm.M)
+    assert all(e[k, l] == alt.E[k][l] for k in range(4) for l in range(4)), \
+        "hermitian lift is inconsistent with its alternating form"
     return herm
-
-
-def is_positive_definite(h) -> bool:
-    """Exact: leading entry and determinant both positive."""
-    m = h.M if isinstance(h, HermForm) else h
-    return exact_sign(m[0, 0]) > 0 and exact_sign(m.det()) > 0
 
 
 def compute_N_D(ns: NSLattice, mult: MultiplicationDatum) -> NSLattice:
@@ -235,16 +201,9 @@ def compute_N_D(ns: NSLattice, mult: MultiplicationDatum) -> NSLattice:
     for _, herm in ns.basis:
         x = herm.M.map(lambda v: v.in_field(field)) @ dbar
         defects.append(x - x.conj_t())
-    n_mono = field.degree
-    picks = ((0, 0), (0, 1), (1, 1))
-    rows = [[_F0] * ns.rank for _ in range(len(picks) * n_mono)]
-    for col, defect in enumerate(defects):
-        for ridx, (a, b) in enumerate(picks):
-            entry = defect[a, b]
-            for m, c in enumerate(entry.coeffs):
-                if c:
-                    rows[ridx * n_mono + m][col] += c
-    coords = kernel_lattice(rows, ns.rank)
+    conditions = [[defect[a, b] for defect in defects]
+                  for a, b in ((0, 0), (0, 1), (1, 1))]
+    coords = kernel_lattice(monomial_rows(conditions), ns.rank)
     pairs = []
     for cvec in coords:
         alt, herm = ns.combination(cvec)
@@ -434,22 +393,18 @@ def e_table(t: Torus, mult: MultiplicationDatum, e1, e2,
 def choose_sqrt_basis(t: Torus, mult: MultiplicationDatum):
     """Deterministic Q(sqrt d)-basis (e1, e2) among the lattice generators.
 
-    e1 is the first generator; e2 is the first generator outside the
-    rational span of {e1, De1}.
+    e1 is the first generator; e2 is the first generator for which e1, e2,
+    De1, De2 span the lattice rationally (so e2 is outside span{e1, De1}).
     """
     e1 = [Fraction(1), _F0, _F0, _F0]
-    de1 = list(mult.r_times(e1))
     for j in range(1, 4):
-        cand = [_F0] * 4
-        cand[j] = _F1
-        rows = [[e1[k], de1[k]] for k in range(4)]
-        if solve_rational(rows, cand) is None:
-            e2 = cand
-            try:
-                _check_sqrt_basis(mult, e1, e2)
-            except NotABasis:
-                continue
-            return tuple(e1), tuple(e2)
+        e2 = [_F0] * 4
+        e2[j] = _F1
+        try:
+            _check_sqrt_basis(mult, e1, e2)
+        except NotABasis:
+            continue
+        return tuple(e1), tuple(e2)
     raise NotABasis("no lattice generator completes a sqrt(d)-basis")
 
 
@@ -676,14 +631,13 @@ def ns_membership_coords(ns: NSLattice, h) -> list[Fraction]:
     m = h.M if isinstance(h, HermForm) else h
     t = ns.torus
     field = union_field(t.field, m.field)
-    cols = [tuple(x.in_field(field) for x in t.period.column(k)) for k in range(4)]
     hf = HermForm(m.map(lambda v: v.in_field(field)))
+    e = lattice_form(t, hf.M)
     vals = []
     for k, l in _PAIRS:
-        e = hf.imag_value(cols[k], cols[l])
-        if not e.is_rational():
+        if not e[k, l].is_rational():
             raise NotInEndo("form has irrational lattice values; not in NS_Q")
-        vals.append(e.rational_value())
+        vals.append(e[k, l].rational_value())
     basis_rows = [[Fraction(v) for v in alt.upper()] for alt, _ in ns.basis]
     coords = coords_in_rows(basis_rows, vals) if basis_rows else None
     if coords is None:

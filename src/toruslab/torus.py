@@ -195,6 +195,16 @@ def lattice_action(t: Torus, a: Mat) -> Mat:
     return big_inv @ block @ big
 
 
+def lattice_form(t: Torus, m: Mat) -> Mat:
+    """Im(Pi^t M conj(Pi)): the values Im H(lambda_k, lambda_l) on the generators.
+
+    H(x, y) = x^t M conj(y); for hermitian M this is the alternating form
+    E = Im H in lattice coordinates, over the union of both fields.
+    """
+    pi = t.period.entries
+    return (pi.transpose() @ m @ pi.conj()).map(lambda x: x.imag_part())
+
+
 def _eigenvector_2x2(m: Mat, eigenvalue: FieldElement):
     """Eigenvector with first nonzero coordinate normalized to 1.
 

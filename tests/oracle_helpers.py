@@ -3,10 +3,11 @@
 These deliberately avoid the library's elimination code: the rank oracle
 builds the compatibility system with reversed variable and equation
 order and reduces it with its own last-column-first pivoting, and the
-bisection enclosure refines a root without interval Newton.
+root enclosure comes from integer roots rather than from refining a box.
 """
 
 from fractions import Fraction
+from math import isqrt
 
 from toruslab.linalg import Mat
 
@@ -55,22 +56,34 @@ def _kernel_dim_last_pivot(rows, ncols) -> int:
 
 
 def bisection_enclosure(coeffs, lo: Fraction, hi: Fraction, width: Fraction):
-    """Plain sign-change bisection; independent of interval Newton."""
-    def ev(x):
-        acc = Fraction(0)
-        for c in reversed(coeffs):
-            acc = acc * x + c
-        return acc
+    """Enclosure of width <= width of the root n^(1/j) of x^j - n in [lo, hi].
 
-    slo = ev(lo)
-    assert slo != 0 and ev(hi) != 0 and (slo > 0) != (ev(hi) > 0)
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        vm = ev(mid)
-        if vm == 0:
-            return mid, mid
-        if (vm > 0) == (slo > 0):
-            lo, slo = mid, vm
-        else:
-            hi = mid
-    return lo, hi
+    Built from integer roots, not by refining [lo, hi]: for the least k
+    with 2^-k <= width, a = floor(2^k n^(1/j)) is the integer j-th root
+    of n 2^(jk), and the root lies in [a / 2^k, (a + 1) / 2^k].  The name
+    is kept from the bisection this replaced.
+    """
+    j = len(coeffs) - 1
+    n = -coeffs[0]
+    assert coeffs[-1] == 1 and not any(coeffs[1:-1]), "not a binomial x^j - n"
+    assert n > 0 and n.denominator == 1 and 0 < lo and lo ** j <= n <= hi ** j
+    k = 0
+    while Fraction(1, 2 ** k) > width:
+        k += 1
+    big = int(n) << (j * k)
+    a = _integer_root(big, j)
+    if a ** j == big:
+        return Fraction(a, 2 ** k), Fraction(a, 2 ** k)
+    return Fraction(a, 2 ** k), Fraction(a + 1, 2 ** k)
+
+
+def _integer_root(n: int, j: int) -> int:
+    """floor(n^(1/j)) for n >= 1: math.isqrt, or integer Newton from above."""
+    if j == 2:
+        return isqrt(n)
+    x = 1 << -(-n.bit_length() // j)      # 2^ceil(bits / j) > n^(1/j)
+    while True:
+        y = ((j - 1) * x + n // x ** (j - 1)) // j
+        if y >= x:
+            return x
+        x = y

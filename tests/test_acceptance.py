@@ -61,8 +61,8 @@ def proposition_suite():
     for d in D_VALUES:
         for seed in SEEDS:
             torus, mult = random_torus_with_sqrt_d(d, seed)
-            report = verify_proposition(torus, mult, seed=seed)
             ns = compute_ns(torus)
+            report = verify_proposition(torus, mult, seed=seed, ns=ns)
             verdict = (is_algebraic(torus, mults=[mult], seed=seed, ns=ns)
                        if d > 0 else None)
             runs.append({"d": d, "seed": seed, "report": report,

@@ -10,7 +10,9 @@ from toruslab.endo import compute_endo_ring, rosati_involution
 from toruslab.errors import NotABasis, NotInEndo, NotInND, ScalarD
 from toruslab.exactfield import NumberField, embed, sqrt_element
 from toruslab.linalg import Mat
+from toruslab.cli import parse_input
 from toruslab.neronseveri import (
+    AltForm,
     CanonicalFormCoords,
     HermForm,
     LambdaMap,
@@ -20,6 +22,7 @@ from toruslab.neronseveri import (
     compute_N_D,
     compute_ns,
     e_table,
+    hermitian_lift,
     is_algebraic,
     is_positive_definite,
     lambda_inverse,
@@ -31,8 +34,10 @@ from toruslab.neronseveri import (
     transport_to_diagonal,
     _float_gram_stack,
 )
-from toruslab.torus import attach_multiplication
+from toruslab.papercheck import random_torus_with_sqrt_d
+from toruslab.torus import attach_multiplication, lattice_form
 
+from conftest import TORI
 from oracle_helpers import oracle_ns_rank
 
 
@@ -72,6 +77,43 @@ def test_ns_rank_zero_generic(generic_rank0_torus):
     ns = compute_ns(generic_rank0_torus)
     assert ns.rank == 0
     assert oracle_ns_rank(generic_rank0_torus) == 0
+
+
+@pytest.mark.parametrize("source", [p.name for p in sorted(TORI.glob("*.json"))]
+                         + [2, -2, 3, -5])
+def test_ns_basis_is_j_compatible(source):
+    # compute_ns works from Pi^+ alone; the check here goes through J
+    if isinstance(source, int):
+        torus, _ = random_torus_with_sqrt_d(source, 2)
+    else:
+        torus, _ = parse_input((TORI / source).read_text()).realize()
+    ns = compute_ns(torus)
+    assert ns.rank == oracle_ns_rank(torus)
+    for alt, _ in ns.basis:
+        e = Mat.from_rows([[torus.field.rational(v) for v in row] for row in alt.E])
+        assert torus.J.transpose() @ e @ torus.J == e
+
+
+def test_lattice_form_matches_imag_value(d2_lattice):
+    torus, _ = d2_lattice
+    f = torus.field
+    cols = [torus.period.column(k) for k in range(4)]
+    outside_ns = HermForm(Mat.from_rows([[f.one(), f.i()], [-f.i(), f.rational(2)]]))
+    forms = [herm for _, herm in compute_ns(torus).basis] + [outside_ns]
+    for herm in forms:
+        e = lattice_form(torus, herm.M)
+        for k in range(4):
+            for l in range(4):
+                assert e[k, l] == herm.imag_value(cols[k], cols[l])
+
+
+def test_hermitian_lift_rejects_form_outside_ns(cm_product):
+    torus, _ = cm_product
+    # E = e_02 pairs lambda_0 = (1, 0) with lambda_2 = (0, 1), but
+    # E(J lambda_0, J lambda_2) = E(lambda_1, lambda_3) = 0: not J-compatible
+    alt = AltForm.from_upper((0, 1, 0, 0, 0, 0))
+    with pytest.raises((AssertionError, ValueError)):
+        hermitian_lift(torus, alt)
 
 
 def test_hermitian_lift_integrality(cm_product):
