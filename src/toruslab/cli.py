@@ -533,12 +533,12 @@ def run_command(argv) -> int:
     except _INTERNAL_ERRORS as e:
         print(f"internal error [{type(e).__name__}]: {e}", file=sys.stderr)
         return 3
+    except AssertionError as e:  # ahead of TorusLabError: InvariantViolation is both
+        print(f"internal invariant failed: {e}", file=sys.stderr)
+        return 3
     except TorusLabError as e:
         print(f"input error [{type(e).__name__}]: {e}", file=sys.stderr)
         return 2
-    except AssertionError as e:
-        print(f"internal invariant failed: {e}", file=sys.stderr)
-        return 3
     if report is None:
         return code
     report = dict(report)

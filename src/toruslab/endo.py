@@ -27,6 +27,7 @@ from .errors import (
     NotPolarization,
     NotStable,
     UnrecognizedStructure,
+    invariant,
 )
 from .exactfield import _count_real_roots, eliminate, exact_sign, squarefree_decomposition
 from .linalg import (
@@ -131,12 +132,12 @@ def compute_endo_ring(t: Torus) -> EndoRing:
     id_vec = [1 if k % 5 == 0 else 0 for k in range(16)]
     coords = coords_in_rows([[Fraction(v) for v in b] for b in basis_vecs],
                             [Fraction(v) for v in id_vec])
-    assert coords is not None, "identity missing from endomorphism lattice"
+    invariant(coords is not None, "identity missing from endomorphism lattice")
     coords = [int(c) for c in coords]
     g = 0
     for c in coords:
         g = gcd(g, c)
-    assert g == 1, "identity is imprimitive in a saturated lattice"
+    invariant(g == 1, "identity is imprimitive in a saturated lattice")
     u = complete_to_unimodular(coords)
     n = len(basis_vecs)
     new_vecs = [[sum(u[i][j] * basis_vecs[j][k] for j in range(n)) for k in range(16)]
@@ -146,7 +147,7 @@ def compute_endo_ring(t: Torus) -> EndoRing:
         r_rows = tuple(tuple(vec[4 * r + c] for c in range(4)) for r in range(4))
         a = _analytic_from_r(t, r_rows)
         rmat = Mat.from_rows([[field.rational(v) for v in row] for row in r_rows])
-        assert (a @ t.period.entries) == (t.period.entries @ rmat)
+        invariant((a @ t.period.entries) == (t.period.entries @ rmat), "not an endomorphism")
         basis.append(Endomorphism(R=r_rows, A=a))
     structure = _structure_tensor(basis)
     return EndoRing(torus=t, basis=tuple(basis), structure=structure)
@@ -177,7 +178,7 @@ def _structure_tensor(basis):
 def structure_constants(ring: EndoRing):
     """Exact integer tensor with b_i b_j = sum_k tensor[i][j][k] b_k."""
     tensor = _structure_tensor(ring.basis)
-    assert tensor == ring.structure
+    invariant(tensor == ring.structure, "structure constants changed on recomputation")
     return tensor
 
 
@@ -473,13 +474,13 @@ def _verify_involution(ros: RosatiData) -> None:
     e = [[_F1 if i == j else _F0 for j in range(n)] for i in range(n)]
     for j in range(n):
         twice = ros.apply(ros.apply(e[j]))
-        assert twice == e[j], "involution squared is not the identity"
+        invariant(twice == e[j], "involution squared is not the identity")
     ring = ros.ring
     for j in range(n):
         for k in range(n):
             lhs = ros.apply([Fraction(v) for v in ring.structure[j][k]])
             rhs = ring.multiply_coords(ros.apply(e[k]), ros.apply(e[j]))
-            assert lhs == rhs, "Rosati is not an anti-automorphism"
+            invariant(lhs == rhs, "Rosati is not an anti-automorphism")
 
 
 def symmetric_subspace(ros: RosatiData):
@@ -547,9 +548,9 @@ def find_real_multiplication(ros: RosatiData) -> RealMultiplication:
         ints = [flat[4 * r:4 * r + 4] for r in range(4)]
         sq = _mat_mul_int(tuple(map(tuple, ints)), tuple(map(tuple, ints)))
         d_dbl = sq[0][0]
-        assert all(sq[r][c] == (d_dbl if r == c else 0)
-                   for r in range(4) for c in range(4))
-        assert d_dbl > 0
+        invariant(all(sq[r][c] == (d_dbl if r == c else 0)
+                      for r in range(4) for c in range(4)), "beta^2 is not scalar")
+        invariant(d_dbl > 0, "beta^2 is not a positive scalar")
         _, d0, certified = squarefree_decomposition(d_dbl)
         # ints = scale * beta0 and beta0 = 2 alpha - tr
         scale = next(Fraction(n) / v for n, v in zip(flat, beta0) if v)
@@ -560,7 +561,7 @@ def find_real_multiplication(ros: RosatiData) -> RealMultiplication:
         pi = ring.torus.period.entries
         rmat = Mat.from_rows([[ring.torus.field.rational(v) for v in row]
                               for row in ints])
-        assert (beta.A @ pi) == (pi @ rmat)
+        invariant((beta.A @ pi) == (pi @ rmat), "beta does not preserve the lattice")
         return RealMultiplication(d_prime=d0, d_dblprime=d_dbl, beta=beta,
                                   squarefree_certified=certified)
     raise NoSuchElement(
@@ -603,7 +604,6 @@ def endo_box_oracle(t: Torus, bound: int, shape: str = "full"):
         raise ValueError(f"unknown shape {shape!r}")
 
     j = t.J
-    n_mono = field.degree
     rows = []
     for r in range(4):
         for c in range(4):
@@ -612,10 +612,9 @@ def endo_box_oracle(t: Torus, bound: int, shape: str = "full"):
                 cols[4 * k + c] = cols[4 * k + c] + j[r, k]
             for k in range(4):
                 cols[4 * r + k] = cols[4 * r + k] - j[k, c]
-            for m in range(n_mono):
-                row = [x.coeffs[m] for x in cols]
+            for row in zip(*(x.coeffs for x in cols)):
                 if any(v != 0 for v in row):
-                    rows.append(row)
+                    rows.append(list(row))
     red, pivots = rref(rows)
     free = [c for c in range(16) if c not in pivots]
     if len(free) > 9:

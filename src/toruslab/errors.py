@@ -10,6 +10,15 @@ class TorusLabError(Exception):
     """Base class for all library errors."""
 
 
+class InvariantViolation(TorusLabError, AssertionError):
+    """A proved invariant failed; unlike ``assert`` it also runs under -O."""
+
+
+def invariant(condition, message: str) -> None:
+    if not condition:
+        raise InvariantViolation(message)
+
+
 # ---- exact field arithmetic ------------------------------------------------
 
 class DivisionByZero(TorusLabError, ZeroDivisionError):

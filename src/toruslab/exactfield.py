@@ -2,9 +2,11 @@
 
 A field is presented as a tensor of simple extensions: each generator
 carries a monic rational minimal polynomial, a complex interval isolating
-the intended root, and a conjugation kind.  Elements are rational
-coefficient vectors over the monomial basis (all products of generator
-powers below the respective degrees).  Q-linear independence of that
+the intended root, and a conjugation kind.  An element is a tuple of
+integer numerators over one positive denominator in the monomial basis
+(all products of generator powers below the respective degrees); each
+field builds once an integer multiplication table over one denominator,
+so products run on ints only.  Q-linear independence of that
 basis is *declared* by the caller; the library screens it numerically
 (`find_small_relation`) but never proves it.
 
@@ -229,9 +231,16 @@ def _refine_real_root(coeffs, lo: Fraction, hi: Fraction, target: Fraction):
 
 # Refined axis interval per (generator, target width).  Each entry is
 # refined from the declared root box, so it depends only on its key and
-# never on which widths were asked for earlier; the cache grows by at
-# most one entry per (generator, requested precision).
+# never on which widths were asked for earlier.  Like _FIELD_DATA_CACHE it
+# holds at most CACHE_SIZE entries and drops the oldest one first.
+CACHE_SIZE = 256
 _BOX_CACHE: dict[tuple[GeneratorSpec, Fraction], tuple[Fraction, Fraction]] = {}
+
+
+def _cache_put(cache: dict, key, value) -> None:
+    cache[key] = value
+    if len(cache) > CACHE_SIZE:
+        del cache[next(iter(cache))]
 
 
 def _gen_axis_interval(spec: GeneratorSpec, width: Fraction) -> tuple[Fraction, Fraction]:
@@ -240,7 +249,7 @@ def _gen_axis_interval(spec: GeneratorSpec, width: Fraction) -> tuple[Fraction, 
     if cur is None:
         lo, hi = spec.axis_interval()
         cur = _refine_real_root(spec.axis_poly(), lo, hi, width)
-        _BOX_CACHE[key] = cur
+        _cache_put(_BOX_CACHE, key, cur)
     return cur
 
 
@@ -382,24 +391,23 @@ class NumberField:
         return _field_data(self).exps
 
     def zero(self) -> "FieldElement":
-        return FieldElement(self, (_F0,) * self.degree)
+        return FieldElement(self, [0] * self.degree, 1)
 
     def one(self) -> "FieldElement":
         return self.rational(1)
 
     def rational(self, q) -> "FieldElement":
-        coeffs = [_F0] * self.degree
-        coeffs[0] = Fraction(q)
-        return FieldElement(self, tuple(coeffs))
+        q = Fraction(q)
+        return FieldElement(self, [q.numerator] + [0] * (self.degree - 1), q.denominator)
 
     def gen(self, name: str) -> "FieldElement":
         data = _field_data(self)
         for j, g in enumerate(self.generators):
             if g.name == name:
                 exp = tuple(1 if k == j else 0 for k in range(len(self.generators)))
-                coeffs = [_F0] * data.size
-                coeffs[data.index[exp]] = _F1
-                return FieldElement(self, tuple(coeffs))
+                num = [0] * data.size
+                num[data.index[exp]] = 1
+                return FieldElement(self, num, 1)
         raise KeyError(f"no generator named {name!r}")
 
     def i(self) -> "FieldElement":
@@ -409,15 +417,17 @@ class NumberField:
         data = _field_data(self)
         coeffs = [_F0] * data.size
         for exp, c in coeff_map.items():
-            coeffs[data.index[exp]] = Fraction(c)
-        return FieldElement(self, tuple(coeffs))
+            coeffs[data.index[exp]] = c
+        return FieldElement(self, coeffs)
 
     def extended(self, extra: tuple[GeneratorSpec, ...]) -> "NumberField":
         return NumberField(self.generators + tuple(extra))
 
 
 class _FieldData:
-    __slots__ = ("gens", "degs", "exps", "index", "size", "conj_sign", "mult_table")
+    """Basis data; basis_a * basis_b = sum(n * basis_k for k, n in table[a][b]) / table_den."""
+
+    __slots__ = ("gens", "degs", "exps", "index", "size", "conj_sign", "table", "table_den")
 
     def __init__(self, field: NumberField):
         self.gens = field.generators
@@ -443,7 +453,8 @@ class _FieldData:
                                 nxt.append((prefix + (p,), c * rc))
                     terms = nxt
                 table[a][b] = tuple((self.index[exp], c) for exp, c in terms)
-        self.mult_table = table
+        den = self.table_den = math.lcm(*(c.denominator for r in table for t in r for _, c in t))
+        self.table = [[tuple((k, int(c * den)) for k, c in t) for t in r] for r in table]
 
 
 def _power_rows(min_poly: tuple[Fraction, ...]) -> list[list[Fraction]]:
@@ -473,7 +484,7 @@ def _field_data(field: NumberField) -> _FieldData:
         data = _FIELD_DATA_CACHE.get(field)
         if data is None:
             data = _FieldData(field)
-            _FIELD_DATA_CACHE[field] = data
+            _cache_put(_FIELD_DATA_CACHE, field, data)
         object.__setattr__(field, "_data", data)
     return data
 
@@ -493,27 +504,42 @@ def union_field(f1: NumberField, f2: NumberField) -> NumberField:
 # field elements
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class FieldElement:
-    field: NumberField
-    coeffs: tuple[Fraction, ...]
+    """sum(num[k] * basis_k) / den with ints num, den > 0 and gcd(den, *num) = 1.
 
-    def __post_init__(self):
-        if len(self.coeffs) != self.field.degree:
-            raise ValidationError("coefficient vector length does not match the field")
+    Built from rational ``coeffs``, or from integer numerators and ``den``.
+    """
+
+    __slots__ = ("field", "num", "den")
+
+    def __init__(self, field: NumberField, coeffs, den: int | None = None):
+        if den is None:
+            coeffs = [Fraction(c) for c in coeffs]
+            if len(coeffs) != field.degree:
+                raise ValidationError("coefficient vector length does not match the field")
+            den = math.lcm(*(c.denominator for c in coeffs))
+            coeffs = [c.numerator * (den // c.denominator) for c in coeffs]
+        g = math.gcd(den, *coeffs)
+        num = tuple(coeffs) if g == 1 else tuple(x // g for x in coeffs)
+        self.field, self.num, self.den = field, num, den // g
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The rational coefficients over the monomial basis."""
+        return tuple(Fraction(x, self.den) for x in self.num)
 
     # -- structure ----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.num[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise NotRational(f"{self} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def in_field(self, field: NumberField) -> "FieldElement":
         """Coerce into a field whose generators contain this element's."""
@@ -531,16 +557,16 @@ class FieldElement:
             if field.generators[pos[-1]] != g:
                 raise IncompatibleGenerators(
                     f"generator {g.name!r} differs between fields")
-        coeffs = [_F0] * new.size
+        num = [0] * new.size
         n_new = len(field.generators)
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
+        for k, c in enumerate(self.num):
+            if not c:
                 continue
             exp = [0] * n_new
             for j, e in enumerate(old.exps[k]):
                 exp[pos[j]] = e
-            coeffs[new.index[tuple(exp)]] = c
-        return FieldElement(field, tuple(coeffs))
+            num[new.index[tuple(exp)]] = c
+        return FieldElement(field, num, self.den)
 
     def _pair(self, other):
         if isinstance(other, FieldElement):
@@ -558,40 +584,44 @@ class FieldElement:
         a, b = self._pair(other)
         if b is NotImplemented:
             return NotImplemented
-        return FieldElement(a.field, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+        ad, bd = a.den, b.den
+        return FieldElement(a.field, [x * bd + y * ad for x, y in zip(a.num, b.num)], ad * bd)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElement(self.field, tuple(-c for c in self.coeffs))
+        return FieldElement(self.field, [-x for x in self.num], self.den)
 
     def __sub__(self, other):
         a, b = self._pair(other)
         if b is NotImplemented:
             return NotImplemented
-        return FieldElement(a.field, tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
+        ad, bd = a.den, b.den
+        return FieldElement(a.field, [x * bd - y * ad for x, y in zip(a.num, b.num)], ad * bd)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):  # no table product
+            p, q = other.numerator, other.denominator
+            return FieldElement(self.field, [x * p for x in self.num], self.den * q)
         a, b = self._pair(other)
         if b is NotImplemented:
             return NotImplemented
         data = _field_data(a.field)
-        out = [_F0] * data.size
-        table = data.mult_table
-        for ia, ca in enumerate(a.coeffs):
-            if ca == 0:
+        out = [0] * data.size
+        table = data.table
+        b_terms = [(ib, cb) for ib, cb in enumerate(b.num) if cb]
+        for ia, ca in enumerate(a.num):
+            if not ca:
                 continue
             row = table[ia]
-            for ib, cb in enumerate(b.coeffs):
-                if cb == 0:
-                    continue
+            for ib, cb in b_terms:
                 c = ca * cb
                 for idx, r in row[ib]:
                     out[idx] += c * r
-        return FieldElement(a.field, tuple(out))
+        return FieldElement(a.field, out, a.den * b.den * data.table_den)
 
     __rmul__ = __mul__
 
@@ -627,10 +657,10 @@ class FieldElement:
         if not isinstance(other, FieldElement):
             return NotImplemented
         a, b = self._pair(other)
-        return a.coeffs == b.coeffs
+        return a.den == b.den and a.num == b.num
 
     def __hash__(self):
-        return hash((self.field, self.coeffs))
+        return hash((self.field, self.num, self.den))
 
     def __bool__(self):
         return not self.is_zero()
@@ -639,9 +669,8 @@ class FieldElement:
 
     def conjugate(self) -> "FieldElement":
         signs = _field_data(self.field).conj_sign
-        return FieldElement(self.field,
-                            tuple(c if s > 0 else -c
-                                  for c, s in zip(self.coeffs, signs)))
+        return FieldElement(self.field, [x if s > 0 else -x for x, s in zip(self.num, signs)],
+                            self.den)
 
     def is_real(self) -> bool:
         return self.conjugate() == self
@@ -700,27 +729,28 @@ def frac_str(q: Fraction) -> str:
 def _field_div(a: FieldElement, b: FieldElement) -> FieldElement:
     if b.is_zero():
         raise DivisionByZero("division by the zero element")
-    if b.is_rational():
-        q = b.coeffs[0]
-        return FieldElement(a.field, tuple(c / q for c in a.coeffs))
+    if b.is_rational():  # a * b.den / q, over the positive a.den * q^2
+        q = b.num[0]
+        return FieldElement(a.field, [x * b.den * q for x in a.num], a.den * q * q)
     data = _field_data(a.field)
     n = data.size
-    # multiplication-by-b matrix: column k = coefficients of b * basis_k
-    cols = [[_F0] * n for _ in range(n)]
-    table = data.mult_table
-    for ib, cb in enumerate(b.coeffs):
-        if cb == 0:
+    # integer multiplication-by-b matrix: b * basis_k = cols[k] / (b.den * table_den)
+    cols = [[0] * n for _ in range(n)]
+    table = data.table
+    for ib, cb in enumerate(b.num):
+        if not cb:
             continue
         row = table[ib]
         for k in range(n):
             for idx, r in row[k]:
                 cols[k][idx] += cb * r
-    aug = [[cols[k][r] for k in range(n)] + [a.coeffs[r]] for r in range(n)]
+    aug = [[Fraction(cols[k][r]) for k in range(n)] + [Fraction(a.num[r])] for r in range(n)]
     pivots, _ = eliminate(aug)
     if pivots != list(range(n)):
         raise NotInvertible(
             "division matrix is singular; declared independence is violated")
-    return FieldElement(a.field, tuple(row[n] for row in aug))
+    scale = Fraction(b.den * data.table_den, a.den)
+    return FieldElement(a.field, [row[n] * scale for row in aug])
 
 
 # ---------------------------------------------------------------------------
@@ -821,8 +851,8 @@ def embed(a: FieldElement, precision_bits: int) -> ComplexBox:
     data = _field_data(a.field)
     gen_boxes = {}
     needed = set()
-    for k, c in enumerate(a.coeffs):
-        if c == 0:
+    for k, c in enumerate(a.num):
+        if not c:
             continue
         for j, e in enumerate(data.exps[k]):
             if e:
@@ -831,8 +861,8 @@ def embed(a: FieldElement, precision_bits: int) -> ComplexBox:
         gen_boxes[j] = _gen_box(a.field.generators[j], width)
     total = ComplexBox.exact(_F0)
     pow_cache: dict[tuple[int, int], ComplexBox] = {}
-    for k, c in enumerate(a.coeffs):
-        if c == 0:
+    for k, c in enumerate(a.num):
+        if not c:
             continue
         mono = ComplexBox.exact(_F1)
         for j, e in enumerate(data.exps[k]):
@@ -843,7 +873,8 @@ def embed(a: FieldElement, precision_bits: int) -> ComplexBox:
                 pow_cache[key] = _box_pow(gen_boxes[j], e)
             mono = mono.mul(pow_cache[key])
         total = total.add(mono.scale(c))
-    return total
+    # den > 0: the same endpoints as a sum of coefficient-scaled boxes
+    return total if a.den == 1 else total.scale(Fraction(1, a.den))
 
 
 #: 20 doublings of precision starting from 64 bits; beyond that we raise
@@ -864,7 +895,7 @@ def exact_sign(a: FieldElement) -> int:
     if a.is_zero():
         return 0
     if a.is_rational():
-        return _sign(a.coeffs[0])
+        return _sign(a.num[0])
     prec = SIGN_PRECISION_START
     for _ in range(SIGN_PRECISION_DOUBLINGS + 1):
         box = embed(a, prec)

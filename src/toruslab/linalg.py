@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .errors import DegenerateLattice
+from .errors import DegenerateLattice, invariant
 from .exactfield import FieldElement, NumberField, eliminate, union_field
 
 _F0 = Fraction(0)
@@ -233,8 +233,8 @@ def monomial_rows(conditions):
     in one field.  A rational vector satisfies every condition exactly
     when the rows annihilate it.
     """
-    return [[x.coeffs[m] for x in cond]
-            for cond in conditions for m in range(cond[0].field.degree)]
+    return [list(row) for cond in conditions
+            for row in zip(*(x.coeffs for x in cond))]
 
 
 def clear_denominators(row):
@@ -406,7 +406,7 @@ def complete_to_unimodular(coeffs):
         op[0][j], op[j][j] = -b // g2, a // g2
         cur = [sum(cur[k] * op[k][col] for k in range(n)) for col in range(n)]
         apply_col(op)
-    assert cur[0] in (1, -1) and all(v == 0 for v in cur[1:])
+    invariant(cur[0] in (1, -1) and all(v == 0 for v in cur[1:]), "coefficients are not primitive")
     if cur[0] == -1:
         for i in range(n):
             w[i][0] = -w[i][0]
@@ -422,7 +422,7 @@ def invert_unimodular(m):
                                          for j in range(n)]
            for k, row in enumerate(m)]
     pivots, _ = eliminate(aug)
-    assert pivots == list(range(n))
+    invariant(pivots == list(range(n)), "matrix is not unimodular")
     return [[int(aug[i][n + j]) for j in range(n)] for i in range(n)]
 
 

@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import gcd
 
 from .endo import RosatiData, _rational_rep, is_positive_definite, symmetric_subspace
-from .errors import NotABasis, NotInEndo, NotInND, NotRational, NotReal, ScalarD
+from .errors import NotABasis, NotInEndo, NotInND, NotRational, NotReal, ScalarD, invariant
 from .exactfield import FieldElement, eliminate, embed, exact_sign, union_field
 from .linalg import (
     Mat,
@@ -179,8 +179,8 @@ def hermitian_lift(t: Torus, alt: AltForm) -> HermForm:
     e_f = Mat.from_rows([[field.rational(v) for v in row] for row in alt.E])
     herm = HermForm((q.transpose() @ e_f @ q.conj()).scale(field.i() * 2))
     e = lattice_form(t, herm.M)
-    assert all(e[k, l] == alt.E[k][l] for k in range(4) for l in range(4)), \
-        "hermitian lift is inconsistent with its alternating form"
+    invariant(all(e[k, l] == alt.E[k][l] for k in range(4) for l in range(4)),
+              "hermitian lift is inconsistent with its alternating form")
     return herm
 
 
@@ -207,13 +207,13 @@ def compute_N_D(ns: NSLattice, mult: MultiplicationDatum) -> NSLattice:
     pairs = []
     for cvec in coords:
         alt, herm = ns.combination(cvec)
-        assert alt is not None
+        invariant(alt is not None, "N_D member has no alternating form")
         # integer-side cross-check: the twisted alternating form E * R_D
         # must be integral (automatic) and again antisymmetric
         twist = [[sum(alt.E[k][j] * mult.R[j][l] for j in range(4))
                   for l in range(4)] for k in range(4)]
-        assert all(twist[k][l] == -twist[l][k] for k in range(4) for l in range(4)), \
-            "twisted form of an N_D member is not alternating"
+        invariant(all(twist[k][l] == -twist[l][k] for k in range(4) for l in range(4)),
+                  "twisted form of an N_D member is not alternating")
         pairs.append((alt, herm))
     return NSLattice(torus=ns.torus, basis=tuple(pairs),
                      parent_coords=tuple(tuple(c) for c in coords))
@@ -619,7 +619,7 @@ def _crosscheck_pfaffian_signs(ns: NSLattice, gram, sigma) -> None:
         _, herm = ns.combination(c)
         det_sign = exact_sign(herm.det())
         pf_sign = sigma * ((q > 0) - (q < 0))
-        assert det_sign == pf_sign, "Pfaffian certificate failed its cross-check"
+        invariant(det_sign == pf_sign, "Pfaffian certificate failed its cross-check")
 
 
 # ---------------------------------------------------------------------------
@@ -684,6 +684,6 @@ def _verify_ns_endo_iso(ros: RosatiData, ns: NSLattice) -> None:
     images = [_psi_coords(ros, herm) for _, herm in ns.basis]
     if images:
         _, pivots = rref(images)
-        assert len(pivots) == ns.rank, "NS -> End^s map is not injective on the basis"
+        invariant(len(pivots) == ns.rank, "NS -> End^s map is not injective on the basis")
     _, sym_dim = symmetric_subspace(ros)
-    assert sym_dim == ns.rank, "dim NS_Q differs from dim End_Q^s"
+    invariant(sym_dim == ns.rank, "dim NS_Q differs from dim End_Q^s")

@@ -23,6 +23,7 @@ from .errors import (
     NotReal,
     NotSquareRootOfD,
     PerfectSquare,
+    invariant,
 )
 from .exactfield import (
     FieldElement,
@@ -91,7 +92,7 @@ def build_torus(period: PeriodMatrix) -> Torus:
                 raise NotReal(
                     f"complex structure entry ({r},{c}) = {j[r, c]} is not real")
     minus_id = Mat.identity(field, 4).scale(-1)
-    assert j @ j == minus_id
+    invariant(j @ j == minus_id, "complex structure does not square to -1")
     period = PeriodMatrix(period.entries.map(lambda x: x.in_field(field)))
     return Torus(period=period, field=field, J=j, big_p=p, big_p_inv=p_inv)
 
@@ -170,7 +171,7 @@ def attach_multiplication(t: Torus, d_analytic, d: int) -> MultiplicationDatum:
         diagonalizer = Mat.from_rows([[plus[0], minus[0]], [plus[1], minus[1]]])
         diagonalizer_inv = diagonalizer.inv()
         check = diagonalizer_inv @ dmat @ diagonalizer
-        assert check == Mat.diagonal([sqrt_d, -sqrt_d])
+        invariant(check == Mat.diagonal([sqrt_d, -sqrt_d]), "diagonalizer does not diagonalize D")
     return MultiplicationDatum(
         D_analytic=dmat, R=tuple(r_rows), d=d, epsilon=1 if d > 0 else -1,
         is_scalar=scalar, diagonalizer=diagonalizer,
