@@ -426,21 +426,17 @@ def _approx_eigenvalues(m, precision):
     return [(tr - disc) / 2, (tr + disc) / 2]
 
 
-def _report_exit(report) -> int:
-    return 1 if report.refuted() else 0
-
-
 def _cmd_verify_prop(doc: TorusDocument, args) -> tuple[dict, int]:
     torus, mults = doc.realize()
     mult = _mult_index(mults, args.mult)
     report = papercheck.verify_proposition(torus, mult, seed=args.seed)
-    return report.to_dict(), _report_exit(report)
+    return report.to_dict(), (1 if report.refuted() else 0)
 
 
 def _cmd_verify_cor(doc: TorusDocument, args) -> tuple[dict, int]:
     torus, mults = doc.realize()
     report = papercheck.verify_corollaries(torus, mults, seed=args.seed)
-    return report.to_dict(), _report_exit(report)
+    return report.to_dict(), (1 if report.refuted() else 0)
 
 
 def _cmd_gen_example(args) -> tuple[dict, int]:
@@ -474,6 +470,12 @@ def _cmd_gen_example(args) -> tuple[dict, int]:
 # entry point
 # ---------------------------------------------------------------------------
 
+def _seed(text: str) -> int:
+    if not (text.isascii() and text.isdigit()):  # numpy takes no negative seed
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     # global flags are accepted both before and after the subcommand
     common = argparse.ArgumentParser(add_help=False)
@@ -481,7 +483,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="emit a machine-readable report")
     common.add_argument("--precision", type=int, default=argparse.SUPPRESS,
                         help="bits for approximate output values (default 128)")
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
+    common.add_argument("--seed", type=_seed, default=argparse.SUPPRESS,
                         help="seed for searches and random generation (default 0)")
     parser = argparse.ArgumentParser(
         prog="toruslab", parents=[common],

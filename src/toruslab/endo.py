@@ -472,14 +472,14 @@ def _rational_rep(t: Torus, a: Mat):
 def _verify_involution(ros: RosatiData) -> None:
     n = ros.rank
     e = [[_F1 if i == j else _F0 for j in range(n)] for i in range(n)]
+    img = [ros.apply(e[j]) for j in range(n)]
     for j in range(n):
-        twice = ros.apply(ros.apply(e[j]))
-        invariant(twice == e[j], "involution squared is not the identity")
+        invariant(ros.apply(img[j]) == e[j], "involution squared is not the identity")
     ring = ros.ring
     for j in range(n):
         for k in range(n):
             lhs = ros.apply([Fraction(v) for v in ring.structure[j][k]])
-            rhs = ring.multiply_coords(ros.apply(e[k]), ros.apply(e[j]))
+            rhs = ring.multiply_coords(img[k], img[j])
             invariant(lhs == rhs, "Rosati is not an anti-automorphism")
 
 

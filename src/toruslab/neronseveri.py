@@ -435,9 +435,7 @@ def _float_gram_stack(ns: NSLattice):
 
 
 def _certify(ns: NSLattice, int_coords) -> Polarization | None:
-    g = 0
-    for v in int_coords:
-        g = gcd(g, v)
+    g = gcd(*int_coords)
     if g == 0:
         return None
     int_coords = [v // g for v in int_coords]
@@ -447,17 +445,47 @@ def _certify(ns: NSLattice, int_coords) -> Polarization | None:
     return None
 
 
+def _ascent(mats, seed: int):
+    """Phase 1 of `polarization_search`: the best direction and its smallest eigenvalue.
+
+    The 32 restarts are the rows of one array, with one stacked `eigh` per
+    step.  Each operation rounds as in the one-restart loop kept in
+    tests/oracle_helpers.py (not einsum, not norm(axis=1)), so the result is
+    the same bit for bit.  A restart whose step vanishes stays at zero.
+    """
+    import numpy as np
+
+    def gram(cs):
+        return sum(cs[:, i, None, None] * m for i, m in enumerate(mats))
+
+    cs = [np.random.default_rng(1000 * seed + j).standard_normal(len(mats)) for j in range(32)]
+    cs = np.array([c / np.linalg.norm(c) for c in cs])
+    live = np.ones(len(cs), dtype=bool)
+    for k in range(160):
+        x = np.linalg.eigh(gram(cs))[1][:, :, 0]
+        grad = np.stack([(x[:, None, :] @ m @ x[:, :, None])[:, 0, 0] for m in mats], axis=1)
+        step = cs + (0.4 / np.sqrt(k + 1)) * grad
+        nrm = np.sqrt((step[:, None, :] @ step[:, :, None])[:, 0, 0])
+        cs[live] = step[live]
+        live &= nrm != 0
+        cs[live] /= nrm[live, None]
+    vals = np.linalg.eigh(gram(cs))[0][:, 0]
+    best = np.argmax(vals)
+    return cs[best], vals[best]
+
+
 def polarization_search(ns: NSLattice, seed: int = 0) -> Polarization | None:
     """Find an exactly-certified positive definite integral combination.
 
     Phase 1 maximizes the smallest eigenvalue of the Gram form over unit
     coefficient vectors by projected supergradient ascent (the objective
-    is concave), with 32 deterministic restarts, then rationalizes the
-    best direction with denominators <= 10^4 and certifies exactly.
-    Phase 2 falls back to an exhaustive box search with escalating bound
-    1, 2, 4, 8 in lexicographic order.  Returns None only after both
-    phases fail; that is "not found under the documented caps", never a
-    proof of absence.
+    is concave).  Its 32 deterministic restarts advance together, one
+    stacked `eigh` per step, with the same result as ascending each
+    restart on its own.  The best direction is rationalized with
+    denominators <= 10^4 and certified exactly.  Phase 2 falls back to an
+    exhaustive box search with escalating bound 1, 2, 4, 8 in
+    lexicographic order.  Returns None only after both phases fail; that
+    is "not found under the documented caps", never a proof of absence.
     """
     import numpy as np  # here, not at module level: start-up does not pay for it
 
@@ -465,29 +493,8 @@ def polarization_search(ns: NSLattice, seed: int = 0) -> Polarization | None:
     if r == 0:
         return None
     mats = _float_gram_stack(ns)
-
-    def min_eig(c):
-        s = sum(ci * m for ci, m in zip(c, mats))
-        w, v = np.linalg.eigh(s)
-        return w[0], v[:, 0]
-
-    best_c, best_val = None, -np.inf
-    for restart in range(32):
-        rng = np.random.default_rng(1000 * seed + restart)
-        c = rng.standard_normal(r)
-        c /= np.linalg.norm(c)
-        for k in range(160):
-            val, x = min_eig(c)
-            grad = np.array([x @ m @ x for m in mats])
-            c = c + (0.4 / np.sqrt(k + 1)) * grad
-            nrm = np.linalg.norm(c)
-            if nrm == 0:
-                break
-            c /= nrm
-        val, _ = min_eig(c)
-        if val > best_val:
-            best_val, best_c = val, c
-    if best_c is not None and best_val > 0:
+    best_c, best_val = _ascent(mats, seed)
+    if best_val > 0:
         scale = max(abs(x) for x in best_c)
         for den in (1, 2, 3, 4, 6, 8, 12, 16, 10 ** 4):
             fracs = [Fraction(float(x / scale)).limit_denominator(den)
@@ -540,7 +547,6 @@ def _principal_minors_psd(g) -> bool:
 
 def orientation_sign(t: Torus) -> int:
     """Sign of the determinant of the real coordinate matrix of the lattice."""
-    field = t.field
     rows = []
     for r in range(2):
         rows.append([t.period.entries[r, c].real_part() for c in range(4)])
@@ -604,17 +610,8 @@ def is_algebraic(t: Torus, mults=(), seed: int = 0,
 def _crosscheck_pfaffian_signs(ns: NSLattice, gram, sigma) -> None:
     """det(M_c) and sigma * Pf(E_c) must have equal exact signs."""
     r = ns.rank
-    probes = []
-    for j in range(r):
-        c = [0] * r
-        c[j] = 1
-        probes.append(c)
-    for j in range(r):
-        for k in range(j + 1, r):
-            c = [0] * r
-            c[j], c[k] = 1, 1
-            probes.append(c)
-    for c in probes:
+    supports = [(j,) for j in range(r)] + list(itertools.combinations(range(r), 2))
+    for c in ([int(a in s) for a in range(r)] for s in supports):
         q = sum(Fraction(c[a]) * gram[a][b] * c[b] for a in range(r) for b in range(r))
         _, herm = ns.combination(c)
         det_sign = exact_sign(herm.det())

@@ -4,6 +4,8 @@ These deliberately avoid the library's elimination code: the rank oracle
 builds the compatibility system with reversed variable and equation
 order and reduces it with its own last-column-first pivoting, and the
 root enclosure comes from integer roots rather than from refining a box.
+The polarization ascent reference is the one-restart-at-a-time loop that
+the library's batched ascent must reproduce bit for bit.
 """
 
 from fractions import Fraction
@@ -87,3 +89,37 @@ def _integer_root(n: int, j: int) -> int:
         if y >= x:
             return x
         x = y
+
+
+def polarization_ascent_reference(mats, seed: int):
+    """Phase 1 of the polarization search, one restart at a time.
+
+    The projected supergradient ascent on the smallest eigenvalue of
+    sum c_i mats[i]: 32 restarts of 160 steps, one `eigh` per step.
+    Returns (best_c, best_val) with the first restart that attains the
+    largest final value.
+    """
+    import numpy as np
+
+    def min_eig(c):
+        s = sum(ci * m for ci, m in zip(c, mats))
+        w, v = np.linalg.eigh(s)
+        return w[0], v[:, 0]
+
+    best_c, best_val = None, -np.inf
+    for restart in range(32):
+        rng = np.random.default_rng(1000 * seed + restart)
+        c = rng.standard_normal(len(mats))
+        c /= np.linalg.norm(c)
+        for k in range(160):
+            val, x = min_eig(c)
+            grad = np.array([x @ m @ x for m in mats])
+            c = c + (0.4 / np.sqrt(k + 1)) * grad
+            nrm = np.linalg.norm(c)
+            if nrm == 0:
+                break
+            c /= nrm
+        val, _ = min_eig(c)
+        if val > best_val:
+            best_val, best_c = val, c
+    return best_c, best_val

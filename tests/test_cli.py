@@ -165,6 +165,16 @@ def test_missing_file_exit_2(capsys):
     assert "ParseError" in err
 
 
+@pytest.mark.parametrize("argv", [["polarize"], ["verify-prop", "--mult", "0"],
+                                  ["verify-cor"]])
+def test_negative_seed_is_a_usage_error(argv, capsys):
+    code, out, err = _run([argv[0], str(TORI / "random_d2_seed1.json"), *argv[1:],
+                           "--seed", "-1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "argument --seed: must be a non-negative integer" in err
+
+
 def test_corrupted_document_not_an_endomorphism(tmp_path, capsys):
     doc = json.loads((TORI / "random_d2_seed1.json").read_text())
     doc["period"][0][3] = doc["period"][0][3] + " + 1"

@@ -34,11 +34,12 @@ from toruslab.neronseveri import (
     transport_to_diagonal,
     _float_gram_stack,
 )
-from toruslab.papercheck import random_torus_with_sqrt_d
+from toruslab.neronseveri import _ascent
+from toruslab.papercheck import random_torus_with_sqrt_d, scalar_cm_product
 from toruslab.torus import attach_multiplication, lattice_form
 
 from conftest import TORI
-from oracle_helpers import oracle_ns_rank
+from oracle_helpers import oracle_ns_rank, polarization_ascent_reference
 
 
 @pytest.fixture(scope="module")
@@ -393,3 +394,52 @@ def test_float_gram_stack_independent_of_earlier_embeds(d2_lattice, monkeypatch)
     assert len(before) == len(after) == ns.rank
     for x, y in zip(before, after):
         assert np.array_equal(x, y)
+
+
+# ---------------------------------------------------------------------------
+# batched polarization ascent
+# ---------------------------------------------------------------------------
+
+def _assert_same_ascent(mats, seed=0):
+    best_c, best_val = _ascent(mats, seed)
+    ref_c, ref_val = polarization_ascent_reference(mats, seed)
+    assert np.array_equal(best_c, ref_c)
+    assert best_val == ref_val
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 6, 7])
+def test_batched_ascent_matches_reference_on_ns_and_nd(d):
+    # bit for bit: the same direction and the same float eigenvalue
+    for seed in range(1, 6):
+        torus, mult = random_torus_with_sqrt_d(d, seed)
+        ns = compute_ns(torus)
+        _assert_same_ascent(_float_gram_stack(ns))
+        _assert_same_ascent(_float_gram_stack(compute_N_D(ns, mult)))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_batched_ascent_matches_reference_scalar(m):
+    ns = compute_ns(scalar_cm_product(m))
+    assert ns.rank == 4
+    _assert_same_ascent(_float_gram_stack(ns), seed=m)
+
+
+def test_batched_ascent_freezes_vanishing_steps():
+    # with mats = [-2.5 I] a restart drawn at c = +1 steps exactly to 0
+    # and must stay there; the others converge to c = -1
+    _assert_same_ascent([np.eye(4) * -2.5])
+
+
+def test_polarization_search_eigh_calls_bounded(cm_product, monkeypatch):
+    # one stacked eigh per ascent step, plus one for the final values
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    torus, _ = cm_product
+    assert polarization_search(compute_ns(torus)) is not None
+    assert 0 < len(calls) <= 161
