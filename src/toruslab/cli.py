@@ -476,13 +476,29 @@ def _seed(text: str) -> int:
     return int(text)
 
 
+def _int_in(lo: int, hi: int | None = None):
+    """An argparse type: a decimal integer in [lo, hi] (no upper bound when hi is None)."""
+    expected = f"an integer >= {lo}" if hi is None else f"an integer in [{lo}, {hi}]"
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < lo or (hi is not None and value > hi):
+            raise argparse.ArgumentTypeError(f"must be {expected}, got {text!r}")
+        return value
+
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     # global flags are accepted both before and after the subcommand
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
                         help="emit a machine-readable report")
-    common.add_argument("--precision", type=int, default=argparse.SUPPRESS,
-                        help="bits for approximate output values (default 128)")
+    common.add_argument("--precision", type=_int_in(8, 4096), default=argparse.SUPPRESS,
+                        help="bits for approximate output values, 8 to 4096 (default 128)")
     common.add_argument("--seed", type=_seed, default=argparse.SUPPRESS,
                         help="seed for searches and random generation (default 0)")
     parser = argparse.ArgumentParser(
@@ -509,8 +525,8 @@ def _build_parser() -> argparse.ArgumentParser:
     add("verify-cor", _cmd_verify_cor)
     g = sub.add_parser("gen-example", parents=[common])
     g.add_argument("kind", choices=["1", "2", "scalar", "random"])
-    g.add_argument("--m", type=int, default=1)
-    g.add_argument("--n", type=int, default=2)
+    g.add_argument("--m", type=_int_in(1), default=1)
+    g.add_argument("--n", type=_int_in(1), default=2)
     g.add_argument("--d", type=int, default=2)
     g.add_argument("-o", "--output", default=None)
     g.set_defaults(fn=None)

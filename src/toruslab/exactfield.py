@@ -6,9 +6,13 @@ the intended root, and a conjugation kind.  An element is a tuple of
 integer numerators over one positive denominator in the monomial basis
 (all products of generator powers below the respective degrees); each
 field builds once an integer multiplication table over one denominator,
-so products run on ints only.  Q-linear independence of that
-basis is *declared* by the caller; the library screens it numerically
-(`find_small_relation`) but never proves it.
+so products run on ints only.  Sums of products (matrix products,
+hermitian values) go through one fused kernel, `dot`, which accumulates
+every product over one common denominator and normalizes once; the
+monomial boxes behind `embed` are cached per (field, width).  Q-linear
+independence of the monomial basis is *declared* by the caller; the
+library screens it numerically (`find_small_relation`) but never proves
+it.
 
 Conventions:
 
@@ -229,12 +233,15 @@ def _refine_real_root(coeffs, lo: Fraction, hi: Fraction, target: Fraction):
     return lo, hi
 
 
-# Refined axis interval per (generator, target width).  Each entry is
-# refined from the declared root box, so it depends only on its key and
-# never on which widths were asked for earlier.  Like _FIELD_DATA_CACHE it
-# holds at most CACHE_SIZE entries and drops the oldest one first.
+# Refined axis interval per (generator, target width), and embed's
+# monomial boxes per (field, width), filled one monomial at a time.  Each
+# entry is built from the declared root boxes, so it depends only on its
+# key and never on which widths were asked for earlier.  Like
+# _FIELD_DATA_CACHE each holds at most CACHE_SIZE entries and drops the
+# oldest one first.
 CACHE_SIZE = 256
 _BOX_CACHE: dict[tuple[GeneratorSpec, Fraction], tuple[Fraction, Fraction]] = {}
+_MONOMIAL_BOX_CACHE: dict[tuple["NumberField", Fraction], list] = {}
 
 
 def _cache_put(cache: dict, key, value) -> None:
@@ -427,7 +434,8 @@ class NumberField:
 class _FieldData:
     """Basis data; basis_a * basis_b = sum(n * basis_k for k, n in table[a][b]) / table_den."""
 
-    __slots__ = ("gens", "degs", "exps", "index", "size", "conj_sign", "table", "table_den")
+    __slots__ = ("gens", "degs", "exps", "index", "size", "conj_sign", "table", "table_den",
+                 "i_row")
 
     def __init__(self, field: NumberField):
         self.gens = field.generators
@@ -455,6 +463,7 @@ class _FieldData:
                 table[a][b] = tuple((self.index[exp], c) for exp, c in terms)
         den = self.table_den = math.lcm(*(c.denominator for r in table for t in r for _, c in t))
         self.table = [[tuple((k, int(c * den)) for k, c in t) for t in r] for r in table]
+        self.i_row = self.table[self.index[tuple(int(g.name == "i") for g in self.gens)]]
 
 
 def _power_rows(min_poly: tuple[Fraction, ...]) -> list[list[Fraction]]:
@@ -611,16 +620,7 @@ class FieldElement:
             return NotImplemented
         data = _field_data(a.field)
         out = [0] * data.size
-        table = data.table
-        b_terms = [(ib, cb) for ib, cb in enumerate(b.num) if cb]
-        for ia, ca in enumerate(a.num):
-            if not ca:
-                continue
-            row = table[ia]
-            for ib, cb in b_terms:
-                c = ca * cb
-                for idx, r in row[ib]:
-                    out[idx] += c * r
+        _accumulate(out, data.table, a.num, b.num)
         return FieldElement(a.field, out, a.den * b.den * data.table_den)
 
     __rmul__ = __mul__
@@ -679,11 +679,18 @@ class FieldElement:
         return (self + self.conjugate()) * Fraction(1, 2)
 
     def imag_part(self) -> "FieldElement":
-        """(x - conj(x)) / (2i); a real element of the same field.
+        """(x - conj(x)) / (2i) = -i * (odd part of x); a real element of the same field.
 
-        Computed as a product with -i/2, which needs no linear solve.
+        The odd part keeps the monomials that conjugation negates; -i times
+        it is read off the ``i`` row of the integer table, with no product.
         """
-        return (self - self.conjugate()) * (self.field.i() * Fraction(-1, 2))
+        data = _field_data(self.field)
+        out = [0] * data.size
+        for x, s, row in zip(self.num, data.conj_sign, data.i_row):
+            if x and s < 0:
+                for idx, r in row:
+                    out[idx] -= x * r
+        return FieldElement(self.field, out, self.den * data.table_den)
 
     # -- printing ---------------------------------------------------------------
 
@@ -719,6 +726,46 @@ class FieldElement:
 
     def __repr__(self):
         return f"FieldElement({self})"
+
+
+def _accumulate(out: list, table, xnum, ynum) -> None:
+    """out += x * y over the integer table, for numerator vectors x and y."""
+    y_terms = [(ib, cb) for ib, cb in enumerate(ynum) if cb]
+    for ia, ca in enumerate(xnum):
+        if not ca:
+            continue
+        row = table[ia]
+        for ib, cb in y_terms:
+            c = ca * cb
+            for idx, r in row[ib]:
+                out[idx] += c * r
+
+
+def dot(xs, ys, conj_y: bool = False) -> FieldElement:
+    """sum(x * y), or sum(x * conj(y)), for paired field elements.
+
+    The fused kernel behind matrix products and hermitian values: every
+    product accumulates into one integer numerator list over one common
+    denominator (the lcm of the pair denominators), and the sum is
+    gcd-normalized once.  Operands of different fields meet in their
+    union field; a sum with no nonzero product is that field's zero.
+    """
+    field = xs[0].field
+    if any(v.field is not field for v in (*xs, *ys)):
+        for v in (*xs, *ys):
+            field = union_field(field, v.field)
+        xs, ys = [x.in_field(field) for x in xs], [y.in_field(field) for y in ys]
+    data = _field_data(field)
+    pairs = [(x, y) for x, y in zip(xs, ys) if any(x.num) and any(y.num)]
+    den = math.lcm(*(x.den * y.den for x, y in pairs))
+    out = [0] * data.size
+    signs = data.conj_sign
+    for x, y in pairs:
+        ynum, f = y.num, den // (x.den * y.den)
+        if conj_y or f != 1:
+            ynum = [v * f if s > 0 or not conj_y else -v * f for v, s in zip(ynum, signs)]
+        _accumulate(out, data.table, x.num, ynum)
+    return FieldElement(field, out, den * data.table_den)
 
 
 def frac_str(q: Fraction) -> str:
@@ -842,36 +889,29 @@ def embed(a: FieldElement, precision_bits: int) -> ComplexBox:
     Generator boxes are refined from their declared root boxes to width
     2^-(precision_bits+8) before the monomials are accumulated, so the
     output width shrinks as the requested precision grows.  The result
-    depends only on (a, precision_bits): refined generator boxes are
-    cached per (generator, width), never reused across widths.
+    depends only on (a, precision_bits): each monomial box is built from
+    the generator boxes of its own width and cached per (field, width).
     """
     if precision_bits < 8:
         raise ValidationError("precision_bits must be >= 8")
     width = Fraction(1, 1 << (precision_bits + 8))
-    data = _field_data(a.field)
-    gen_boxes = {}
-    needed = set()
-    for k, c in enumerate(a.num):
-        if not c:
-            continue
-        for j, e in enumerate(data.exps[k]):
-            if e:
-                needed.add(j)
-    for j in needed:
-        gen_boxes[j] = _gen_box(a.field.generators[j], width)
+    field = a.field
+    data = _field_data(field)
+    boxes = _MONOMIAL_BOX_CACHE.get((field, width))
+    if boxes is None:
+        boxes = [None] * data.size
+        _cache_put(_MONOMIAL_BOX_CACHE, (field, width), boxes)
     total = ComplexBox.exact(_F0)
-    pow_cache: dict[tuple[int, int], ComplexBox] = {}
     for k, c in enumerate(a.num):
         if not c:
             continue
-        mono = ComplexBox.exact(_F1)
-        for j, e in enumerate(data.exps[k]):
-            if not e:
-                continue
-            key = (j, e)
-            if key not in pow_cache:
-                pow_cache[key] = _box_pow(gen_boxes[j], e)
-            mono = mono.mul(pow_cache[key])
+        mono = boxes[k]
+        if mono is None:
+            mono = ComplexBox.exact(_F1)
+            for g, e in zip(field.generators, data.exps[k]):
+                if e:
+                    mono = mono.mul(_box_pow(_gen_box(g, width), e))
+            boxes[k] = mono
         total = total.add(mono.scale(c))
     # den > 0: the same endpoints as a sum of coefficient-scaled boxes
     return total if a.den == 1 else total.scale(Fraction(1, a.den))

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import DegenerateLattice, invariant
-from .exactfield import FieldElement, NumberField, eliminate, union_field
+from .exactfield import FieldElement, NumberField, dot, eliminate, union_field
 
 _F0 = Fraction(0)
 
@@ -78,29 +78,10 @@ class Mat:
         return tuple(r[k] for r in self.rows)
 
     def __matmul__(self, other: "Mat") -> "Mat":
-        m, n = self.shape
-        n2, p = other.shape
-        if n != n2:
+        if self.shape[1] != other.shape[0]:
             raise ValueError("shape mismatch")
-        if self.field != other.field:
-            f = union_field(self.field, other.field)
-            return self.map(lambda x: x.in_field(f)) @ other.map(lambda x: x.in_field(f))
-        out = []
-        for i in range(m):
-            row = []
-            for j in range(p):
-                acc = self.field.zero()
-                for k in range(n):
-                    a = self.rows[i][k]
-                    if a.is_zero():
-                        continue
-                    b = other.rows[k][j]
-                    if b.is_zero():
-                        continue
-                    acc = acc + a * b
-                row.append(acc)
-            out.append(tuple(row))
-        return Mat(tuple(out))
+        cols = list(zip(*other.rows))
+        return Mat(tuple(tuple(dot(r, c) for c in cols) for r in self.rows))
 
     def __add__(self, other: "Mat") -> "Mat":
         return Mat.from_rows([[a + b for a, b in zip(ra, rb)]
@@ -135,7 +116,8 @@ class Mat:
     def __eq__(self, other):
         if not isinstance(other, Mat):
             return NotImplemented
-        return (self - other).is_zero()
+        return self.shape == other.shape and all(
+            a == b for ra, rb in zip(self.rows, other.rows) for a, b in zip(ra, rb))
 
     def __hash__(self):
         return hash(self.rows)
@@ -163,14 +145,7 @@ class Mat:
         field = self.field
         vec = [x.in_field(field) if isinstance(x, FieldElement) else field.rational(x)
                for x in vec]
-        out = []
-        for row in self.rows:
-            acc = field.zero()
-            for a, b in zip(row, vec):
-                if not (a.is_zero() or b.is_zero()):
-                    acc = acc + a * b
-            out.append(acc)
-        return tuple(out)
+        return tuple(dot(row, vec) for row in self.rows)
 
     def submatrix(self, rows, cols) -> "Mat":
         return Mat(tuple(tuple(self.rows[i][j] for j in cols) for i in rows))

@@ -30,7 +30,7 @@ from math import gcd
 
 from .endo import RosatiData, _rational_rep, is_positive_definite, symmetric_subspace
 from .errors import NotABasis, NotInEndo, NotInND, NotRational, NotReal, ScalarD, invariant
-from .exactfield import FieldElement, eliminate, embed, exact_sign, union_field
+from .exactfield import FieldElement, dot, eliminate, embed, exact_sign, union_field
 from .linalg import (
     Mat,
     clear_denominators,
@@ -90,12 +90,12 @@ class HermForm:
         if self.M.conj_t() != self.M:
             raise ValueError("matrix is not hermitian")
 
+    def row(self, x) -> tuple[FieldElement, FieldElement]:
+        """x^t M."""
+        return tuple(dot(x, col) for col in zip(*self.M.rows))
+
     def value(self, x, y) -> FieldElement:
-        acc = self.M.field.zero()
-        for r in range(2):
-            for c in range(2):
-                acc = acc + x[r] * self.M[r, c] * y[c].conjugate()
-        return acc
+        return dot(self.row(x), y, conj_y=True)
 
     def imag_value(self, x, y) -> FieldElement:
         return self.value(x, y).imag_part()
@@ -299,8 +299,8 @@ class LambdaMap:
     the field of the multiplication, the basis images l1 = lambda(1, 0)
     and l2 = lambda(0, 1), and 1 / det L for L = (l1 | l2), so that
     inverse() needs no field division.  det L = 0 raises DivisionByZero.
-    values() still builds the canonical form of (a, b) and evaluates
-    Im H exactly on every call.
+    values() still builds the canonical form M of (a, b) on every call;
+    both values are evaluated exactly from the one row z1^t M.
     """
 
     def __init__(self, t: Torus, mult: MultiplicationDatum, e1, e2):
@@ -319,17 +319,14 @@ class LambdaMap:
 
     def values(self, coords: CanonicalFormCoords):
         """Field-valued lambda: (E_{a,b}(e1,e2), E_{a,b}(e1,De2)), both real."""
-        herm = canonical_form_matrix(self.mult, coords)
-        return herm.imag_value(self.z1, self.z2), herm.imag_value(self.z1, self.dz2)
+        row = canonical_form_matrix(self.mult, coords).row(self.z1)
+        return tuple(dot(row, z, conj_y=True).imag_part() for z in (self.z2, self.dz2))
 
     def inverse(self, u, v) -> CanonicalFormCoords:
         """Solve lambda(a, b) = (u, v); u and v are rationals or real field elements."""
-        field = self.mult.field
-        u_f = u.in_field(field) if isinstance(u, FieldElement) else field.rational(u)
-        v_f = v.in_field(field) if isinstance(v, FieldElement) else field.rational(v)
         (p, q), (r, s) = self.l1, self.l2
-        return CanonicalFormCoords(a=(u_f * s - r * v_f) * self.det_inv,
-                                   b=(p * v_f - u_f * q) * self.det_inv)
+        return CanonicalFormCoords(a=(s * u - r * v) * self.det_inv,
+                                   b=(p * v - q * u) * self.det_inv)
 
 
 def lambda_map(t: Torus, mult: MultiplicationDatum, e1, e2,

@@ -5,13 +5,20 @@ builds the compatibility system with reversed variable and equation
 order and reduces it with its own last-column-first pivoting, and the
 root enclosure comes from integer roots rather than from refining a box.
 The polarization ascent reference is the one-restart-at-a-time loop that
-the library's batched ascent must reproduce bit for bit.
+the library's batched ascent must reproduce bit for bit, and the embed
+reference builds every generator and power box afresh on each call, as
+embed did before it cached monomial boxes.
 """
 
 from fractions import Fraction
 from math import isqrt
 
+from toruslab.errors import ValidationError
+from toruslab.exactfield import ComplexBox, _box_pow, _field_data, _gen_box
 from toruslab.linalg import Mat
+
+_F0 = Fraction(0)
+_F1 = Fraction(1)
 
 _REVERSED_PAIRS = ((2, 3), (1, 3), (1, 2), (0, 3), (0, 2), (0, 1))
 
@@ -123,3 +130,42 @@ def polarization_ascent_reference(mats, seed: int):
         if val > best_val:
             best_val, best_c = val, c
     return best_c, best_val
+
+
+def embed_per_call(a, precision_bits: int) -> ComplexBox:
+    """embed with the generator and power boxes built on every call.
+
+    The monomial box of each nonzero coefficient is the product, in
+    generator order, of the powers of the refined generator boxes; the
+    cached embed must return exactly these endpoints.
+    """
+    if precision_bits < 8:
+        raise ValidationError("precision_bits must be >= 8")
+    width = Fraction(1, 1 << (precision_bits + 8))
+    data = _field_data(a.field)
+    gen_boxes = {}
+    needed = set()
+    for k, c in enumerate(a.num):
+        if not c:
+            continue
+        for j, e in enumerate(data.exps[k]):
+            if e:
+                needed.add(j)
+    for j in needed:
+        gen_boxes[j] = _gen_box(a.field.generators[j], width)
+    total = ComplexBox.exact(_F0)
+    pow_cache: dict[tuple[int, int], ComplexBox] = {}
+    for k, c in enumerate(a.num):
+        if not c:
+            continue
+        mono = ComplexBox.exact(_F1)
+        for j, e in enumerate(data.exps[k]):
+            if not e:
+                continue
+            key = (j, e)
+            if key not in pow_cache:
+                pow_cache[key] = _box_pow(gen_boxes[j], e)
+            mono = mono.mul(pow_cache[key])
+        total = total.add(mono.scale(c))
+    # den > 0: the same endpoints as a sum of coefficient-scaled boxes
+    return total if a.den == 1 else total.scale(Fraction(1, a.den))

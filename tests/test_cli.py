@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -225,3 +226,25 @@ def test_cli_import_loads_neither_sympy_nor_numpy():
                        text=True, env=env)
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv", [["1", "--m", "0"], ["2", "--m", "0", "--n", "2"],
+                                  ["2", "--m", "1", "--n", "-3"], ["scalar", "--m", "0"],
+                                  ["scalar", "--m", "-1"]])
+def test_gen_example_non_positive_parameter_is_a_usage_error(argv, capsys):
+    code, out, err = _run(["gen-example", *argv], capsys)
+    assert code == 2
+    assert out == ""
+    assert "must be an integer >= 1" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("bits", ["7", "4097", "100000000", "many"])
+def test_precision_out_of_range_is_a_usage_error(bits, capsys):
+    start = time.perf_counter()
+    code, out, err = _run(["polarize", str(TORI / "random_d2_seed1.json"),
+                           "--precision", bits], capsys)
+    assert time.perf_counter() - start < 5
+    assert code == 2
+    assert out == ""
+    assert "argument --precision: must be an integer in [8, 4096]" in err

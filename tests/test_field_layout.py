@@ -20,10 +20,13 @@ from toruslab.exactfield import (
     FieldElement,
     GeneratorSpec,
     NumberField,
+    dot,
     embed,
     sqrt_element,
 )
 from toruslab.papercheck import random_torus_with_sqrt_d
+
+from oracle_helpers import embed_per_call
 
 SQRT2 = exactfield.sqrt_generator_spec(2)
 # i*sqrt(3), a purely imaginary generator: conjugation negates it
@@ -34,6 +37,9 @@ CBRT_3_2 = GeneratorSpec("c", (F(-3, 2), F(0), F(0), F(1)),
 
 DEG8 = NumberField((SQRT2, ISQRT3))
 DEG12 = NumberField((SQRT2, CBRT_3_2))
+# proper subfields, for operands that must first meet in the larger field
+SUB8 = NumberField((SQRT2,))
+SUB12 = NumberField((CBRT_3_2,))
 
 
 def ref_mul(field, a, b):
@@ -158,3 +164,113 @@ def test_caches_stay_bounded_and_embed_survives_eviction(monkeypatch):
     again = FieldElement(NumberField(field.generators), a.coeffs)
     assert again * again == a * a
     assert [embed(again, p) for p in (16, 64)] == before
+
+
+def lift(sub, field, coeffs):
+    """Coefficients of a subfield element over the larger field's monomials."""
+    names, sub_names = field.gen_names(), sub.gen_names()
+    by_exp = {tuple(e[sub_names.index(n)] if n in sub_names else 0 for n in names): c
+              for e, c in zip(sub.monomial_exponents(), coeffs)}
+    return tuple(by_exp.get(e, F(0)) for e in field.monomial_exponents())
+
+
+def draw_operand(data, field, sub):
+    """A nonzero or zero element of the field or of its subfield, with its lifted coefficients."""
+    kind = data.draw(st.sampled_from(["field", "sub", "zero"]))
+    if kind == "zero":
+        return field.zero(), (F(0),) * field.degree
+    home = field if kind == "field" else sub
+    coeffs = data.draw(coeff_vectors(home))
+    return FieldElement(home, coeffs), lift(home, field, coeffs)
+
+
+@pytest.mark.parametrize("conj_y", [False, True], ids=["plain", "conj"])
+@pytest.mark.parametrize("field, sub", [(DEG8, SUB8), (DEG12, SUB12)], ids=["deg8", "deg12"])
+@seed(1998)
+@settings(max_examples=25, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(data=st.data())
+def test_dot_matches_fraction_reference(field, sub, conj_y, data):
+    # the first operand lives in the larger field, so that is the result's field
+    first = data.draw(coeff_vectors(field))
+    xs, ys = [FieldElement(field, first)], []
+    want = [F(0)] * field.degree
+    x_coeffs = [first]
+    for k in range(data.draw(st.integers(min_value=1, max_value=3))):
+        if k:
+            x, cx = draw_operand(data, field, sub)
+            xs.append(x)
+            x_coeffs.append(cx)
+        y, cy = draw_operand(data, field, sub)
+        ys.append(y)
+        prod = ref_mul(field, x_coeffs[k], ref_conj(field, cy) if conj_y else cy)
+        want = [w + p for w, p in zip(want, prod)]
+    got = dot(xs, ys, conj_y=conj_y)
+    check_layout(got)
+    assert got.field == field
+    assert got.coeffs == tuple(want)
+
+
+@pytest.mark.parametrize("field", [DEG8, DEG12], ids=["deg8", "deg12"])
+@seed(1998)
+@settings(max_examples=40, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(data=st.data())
+def test_imag_part_matches_fraction_reference(field, data):
+    ca = data.draw(coeff_vectors(field))
+    names = field.gen_names()
+    # (x - conj(x)) / (2i) = (x - conj(x)) * (-i/2), multiplied out schoolbook
+    minus_half_i = tuple(F(-1, 2) if e == tuple(int(n == "i") for n in names) else F(0)
+                         for e in field.monomial_exponents())
+    diff = tuple(x - y for x, y in zip(ca, ref_conj(field, ca)))
+    want = ref_mul(field, diff, minus_half_i)
+    got = FieldElement(field, ca).imag_part()
+    check_layout(got)
+    assert got.coeffs == want
+    assert ref_conj(field, want) == want
+
+
+def test_imag_part_of_real_and_zero_elements():
+    for field in (DEG8, DEG12):
+        real = FieldElement(field, [F(k, 3) for k in range(field.degree)]).real_part()
+        for x in (real, field.zero(), field.rational(F(-5, 2))):
+            got = x.imag_part()
+            assert got.is_zero() and got.num == (0,) * field.degree and got.den == 1
+    assert (DEG8.i() * F(3, 4) - 1).imag_part() == F(3, 4)
+
+
+def embed_samples():
+    field, root = sqrt_element(NumberField(()), 2)
+    samples = [root * 3 + field.i() * F(1, 7) - 1]
+    for f in (DEG8, DEG12):
+        for k in range(3):
+            samples.append(FieldElement(f, [F((7 * j + k) % 11 - 5, 1 + (j + k) % 4)
+                                            for j in range(f.degree)]))
+    samples.append(FieldElement(DEG12, [F(0)] * 11 + [F(-9, 8)]))
+    torus, _ = random_torus_with_sqrt_d(-5, 1)
+    samples += [torus.J[r, c] for r in range(4) for c in range(4)]
+    return samples
+
+
+def test_embed_cache_matches_per_call_construction(monkeypatch):
+    samples = embed_samples()
+    cap = 8
+    monkeypatch.setattr(exactfield, "CACHE_SIZE", cap)
+    for p in (32, 64, 128, 512):
+        monkeypatch.setattr(exactfield, "_BOX_CACHE", {})
+        want = [embed_per_call(a, p) for a in samples]
+        keys = {(a.field, F(1, 1 << (p + 8))) for a in samples}
+        assert len(keys) <= cap
+        # cold: the entries start empty and fill monomial by monomial
+        monkeypatch.setattr(exactfield, "_BOX_CACHE", {})
+        monkeypatch.setattr(exactfield, "_MONOMIAL_BOX_CACHE", {})
+        assert [embed(a, p) for a in samples] == want, ("cold", p)
+        assert keys == set(exactfield._MONOMIAL_BOX_CACHE)
+        # warm: every monomial these samples use is cached
+        assert [embed(a, p) for a in samples] == want, ("warm", p)
+        # evicted: cap entries at other widths push all of them out
+        for q in range(600, 600 + cap):
+            embed(samples[0], q)
+        assert len(exactfield._MONOMIAL_BOX_CACHE) == cap
+        assert not keys & set(exactfield._MONOMIAL_BOX_CACHE)
+        assert [embed(a, p) for a in samples] == want, ("evicted", p)

@@ -6,7 +6,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from toruslab.errors import DegenerateLattice
-from toruslab.exactfield import NumberField
+from toruslab.exactfield import GeneratorSpec, NumberField
 from toruslab.linalg import (
     Mat,
     clear_denominators,
@@ -242,3 +242,20 @@ def test_solve_rational_matches_sympy(rows, rhs):
     # the particular solution: every free variable is zero
     _, ref_pivots = a.rref()
     assert all(x[c] == 0 for c in range(a.cols) if c not in ref_pivots)
+
+
+def test_matrices_of_different_shapes_are_unequal():
+    f = NumberField(())
+    one, zero = f.one(), f.zero()
+    eye = Mat.identity(f, 2)
+    wide = Mat.from_rows([[one, zero, zero], [zero, one, zero]])
+    short = Mat.from_rows([[one, zero]])
+    for other in (wide, short):
+        assert eye != other and other != eye
+        assert not eye == other
+    assert eye == Mat.from_rows([[one, 0], [0, 1]])
+    assert eye != Mat.from_rows([[one, 0], [0, 2]])
+    # equal entries compare across fields, as elements do
+    sqrt2_field = NumberField((GeneratorSpec("sqrt2", (F(-2), F(0), F(1)),
+                                             (F(1), F(2)), (F(0), F(0)), "real"),))
+    assert eye == Mat.identity(sqrt2_field, 2)

@@ -202,3 +202,22 @@ def test_polarization_search_runs_once(cm_product, monkeypatch):
     ns = neronseveri.compute_ns(torus)
     verdict = neronseveri.is_algebraic(torus, mults=[mult], ns=ns)
     assert verdict.polarization == search(ns, seed=0)
+
+
+def test_lambda_roundtrip_refutes_a_corrupted_det_inv(monkeypatch):
+    # values() never goes through det_inv, so a wrong inverse cannot hide
+    torus, mult = random_torus_with_sqrt_d(-1, 1)
+    init = neronseveri.LambdaMap.__init__
+
+    def corrupted_init(self, *args):
+        init(self, *args)
+        self.det_inv = self.det_inv * 2
+
+    claim_id = "proposition.lambda-roundtrip"
+    honest = {c.claim_id: c for c in verify_proposition(torus, mult).claims}[claim_id]
+    assert honest.status == "verified"
+    monkeypatch.setattr(neronseveri.LambdaMap, "__init__", corrupted_init)
+    bad = {c.claim_id: c for c in verify_proposition(torus, mult).claims}[claim_id]
+    assert bad.status == "refuted"
+    assert (F(bad.witness["u2"]), F(bad.witness["v2"])) == (
+        2 * F(bad.witness["u"]), 2 * F(bad.witness["v"]))
