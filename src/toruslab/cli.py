@@ -46,6 +46,12 @@ from .torus import PeriodMatrix, attach_multiplication, build_torus
 
 _INTERNAL_ERRORS = (PrecisionExhausted, NotClosed, NotStable, UnrecognizedStructure)
 
+#: the longest integer literal an expression may hold, in decimal digits
+MAX_LITERAL_DIGITS = 1000
+#: the largest numerator or denominator, in bits, of a power's result and
+#: of each square computed on the way to it
+MAX_POWER_BITS = 4096
+
 
 # ---------------------------------------------------------------------------
 # expression parser
@@ -74,6 +80,9 @@ class _Tokens:
                 if j < n and t[j] == ".":
                     raise ValidationError(
                         f"float literal at position {i} in {t!r}; use exact rationals")
+                if j - i > MAX_LITERAL_DIGITS:
+                    raise ParseError(f"integer literal of {j - i} digits at position {i}; "
+                                     f"at most {MAX_LITERAL_DIGITS} are allowed")
                 self.toks.append(("int", t[i:j]))
                 i = j
                 continue
@@ -153,9 +162,27 @@ def _parse_factor(toks, field):
         kind, text = toks.take()
         if kind != "int":
             raise ParseError("exponent must be an integer literal")
-        e = -int(text) if neg else int(text)
-        base = base ** e
+        e = int(text)
+        base = _bounded_power(base, -e if neg else e)
     return base if sign > 0 else -base
+
+
+def _bounded_power(base, e):
+    """base ** e by repeated squaring, refused as soon as a value grows too large."""
+    def checked(x):
+        if max(max(map(abs, x.num)), x.den).bit_length() > MAX_POWER_BITS:
+            raise ParseError(f"a power exceeds {MAX_POWER_BITS} bits")
+        return x
+
+    acc, square, k = base.field.one(), base, abs(e)
+    while True:
+        if k & 1:
+            acc = checked(acc * square)
+        k >>= 1
+        if not k:
+            break
+        square = checked(square * square)
+    return acc if e >= 0 else checked(base.field.one() / acc)
 
 
 def _parse_atom(toks, field):
@@ -248,6 +275,8 @@ def parse_input(text: str) -> TorusDocument:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"line {e.lineno}, column {e.colno}: {e.msg}") from None
+    except ValueError as e:  # an integer past the interpreter's digit limit
+        raise ParseError(str(e)) from None
     if not isinstance(doc, dict):
         raise ValidationError("top level must be an object")
     gens = []

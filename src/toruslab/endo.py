@@ -9,7 +9,10 @@ simultaneously yields A as the upper-left block.
 Also here: structure constants, the algebra classifier (quadratic /
 CM / quaternion via the reduced norm form / matrix algebra), the Rosati
 involution of a polarization, and the constructive extraction of a real
-quadratic multiplication from the Rosati-symmetric subspace.
+quadratic multiplication from the Rosati-symmetric subspace.  Every
+batch of coordinates against the ring basis (the n^2 basis products,
+the n Rosati images) comes from one elimination, and the involution
+identities are checked on integers.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import (
     BoundTooLarge,
@@ -35,13 +38,13 @@ from .linalg import (
     clear_denominators,
     complete_to_unimodular,
     coords_in_rows,
+    coords_in_rows_many,
     hnf,
     kernel_lattice,
     lattice_points_in_box,
     monomial_rows,
     rational_kernel,
     rref,
-    solve_rational,
 )
 from .torus import Torus, lattice_action, lattice_form
 
@@ -159,20 +162,19 @@ def _mat_mul_int(x, y):
 
 
 def _structure_tensor(basis):
-    vecs = [[Fraction(v) for v in b.vec()] for b in basis]
-    tensor = []
-    for bi in basis:
-        row = []
-        for bj in basis:
-            prod = _mat_mul_int(bi.R, bj.R)
-            vec = [Fraction(v) for r in prod for v in r]
-            coords = coords_in_rows(vecs, vec)
-            if coords is None or any(c.denominator != 1 for c in coords):
-                raise NotClosed(
-                    "basis product left the Z-span; kernel computation is broken")
-            row.append(tuple(int(c) for c in coords))
-        tensor.append(tuple(row))
-    return tuple(tensor)
+    """Integer coordinates of every product b_i b_j, from one elimination.
+
+    All n^2 products are solved against the basis together; each must lie
+    in the span with integral coordinates.
+    """
+    n = len(basis)
+    prods = [[v for row in _mat_mul_int(bi.R, bj.R) for v in row]
+             for bi in basis for bj in basis]
+    coords = coords_in_rows_many([b.vec() for b in basis], prods)
+    if any(c is None or any(x.denominator != 1 for x in c) for c in coords):
+        raise NotClosed("basis product left the Z-span; kernel computation is broken")
+    return tuple(tuple(tuple(int(x) for x in coords[n * i + j]) for j in range(n))
+                 for i in range(n))
 
 
 def structure_constants(ring: EndoRing):
@@ -199,9 +201,8 @@ def min_poly_rational_matrix(rows):
     vecs = []
     for _ in range(5):
         vecs.append([v for r in power for v in r])
-        span = [list(col) for col in zip(*vecs[:-1])] if len(vecs) > 1 else None
-        if span is not None:
-            sol = solve_rational(span, vecs[-1])
+        if len(vecs) > 1:
+            sol = coords_in_rows(vecs[:-1], vecs[-1])
             if sol is not None:
                 return tuple([-c for c in sol] + [_F1])
         power = [[sum(power[r][k] * rows[k][c] for k in range(4)) for c in range(4)]
@@ -434,8 +435,10 @@ def rosati_involution(ring: EndoRing, h0) -> RosatiData:
     """The involution alpha -> conj(M0)^-1 * conj_t(A) * conj(M0) in ring coordinates.
 
     h0 must be a positive definite hermitian matrix whose imaginary part
-    is integral on the lattice.  Verifies exactly that the result is an
-    involutive anti-automorphism.
+    is integral on the lattice.  The n images are solved against the
+    basis in one elimination; each must act rationally on the lattice and
+    lie in the span (else NotStable).  Verifies exactly, on integers,
+    that the result is an involutive anti-automorphism.
     """
     t = ring.torus
     if not isinstance(h0, Mat):
@@ -444,19 +447,17 @@ def rosati_involution(ring: EndoRing, h0) -> RosatiData:
     check_in_ns(t, m0, require_positive=True)
     m0c = m0.conj()
     m0c_inv = m0c.inv()
-    basis_rows = [[Fraction(v) for v in b] for b in ring.basis_vecs()]
-    rows = []
+    images = []
     for b in ring.basis:
-        a_prime = m0c_inv @ b.A.conj_t() @ m0c
-        r_prime = _rational_rep(t, a_prime)
+        r_prime = _rational_rep(t, m0c_inv @ b.A.conj_t() @ m0c)
         if r_prime is None:
             raise NotStable(
                 "Rosati image has a non-rational lattice action; H0 is not in NS")
-        coords = coords_in_rows(basis_rows, [v for row in r_prime for v in row])
-        if coords is None:
-            raise NotStable("Rosati image left the endomorphism algebra")
-        rows.append(tuple(coords))
-    ros = RosatiData(ring=ring, H0=m0, involution=tuple(rows))
+        images.append([v for row in r_prime for v in row])
+    rows = coords_in_rows_many(ring.basis_vecs(), images)
+    if any(c is None for c in rows):
+        raise NotStable("Rosati image left the endomorphism algebra")
+    ros = RosatiData(ring=ring, H0=m0, involution=tuple(map(tuple, rows)))
     _verify_involution(ros)
     return ros
 
@@ -470,17 +471,35 @@ def _rational_rep(t: Torus, a: Mat):
 
 
 def _verify_involution(ros: RosatiData) -> None:
+    """sigma^2 = id and sigma(b_j b_k) = sigma(b_k) sigma(b_j), in integers.
+
+    With den the lcm of the involution's denominators and I = den * inv
+    (row j = den * sigma(b_j)), the identities read
+      I I = den^2 * id,
+      den * sum_l S[j][k][l] I[l] = sum_{a,b} I[k][a] I[j][b] S[a][b],
+    which are exact integer identities for all n + n^2 pairs.
+    """
     n = ros.rank
-    e = [[_F1 if i == j else _F0 for j in range(n)] for i in range(n)]
-    img = [ros.apply(e[j]) for j in range(n)]
+    den = lcm(*(x.denominator for row in ros.involution for x in row))
+    inv = [[int(x * den) for x in row] for row in ros.involution]
+
+    def combine(coeffs, rows):
+        out = [0] * n
+        for c, row in zip(coeffs, rows):
+            if c:
+                for p, v in enumerate(row):
+                    out[p] += c * v
+        return out
+
     for j in range(n):
-        invariant(ros.apply(img[j]) == e[j], "involution squared is not the identity")
-    ring = ros.ring
+        invariant(combine(inv[j], inv) == [den * den if l == j else 0 for l in range(n)],
+                  "involution squared is not the identity")
+    s = ros.ring.structure
     for j in range(n):
+        u = [combine(inv[j], s[a]) for a in range(n)]  # den * b_a sigma(b_j)
         for k in range(n):
-            lhs = ros.apply([Fraction(v) for v in ring.structure[j][k]])
-            rhs = ring.multiply_coords(img[k], img[j])
-            invariant(lhs == rhs, "Rosati is not an anti-automorphism")
+            invariant([den * x for x in combine(s[j][k], inv)] == combine(inv[k], u),
+                      "Rosati is not an anti-automorphism")
 
 
 def symmetric_subspace(ros: RosatiData):

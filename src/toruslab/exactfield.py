@@ -660,7 +660,13 @@ class FieldElement:
         return a.den == b.den and a.num == b.num
 
     def __hash__(self):
-        return hash((self.field, self.num, self.den))
+        # agrees with __eq__, which compares across fields and with int/Fraction
+        if self.is_rational():
+            return hash(Fraction(self.num[0], self.den))
+        # each monomial by its (generator name, exponent) pairs, the same in every field
+        gens, exps = self.field.generators, _field_data(self.field).exps
+        return hash((tuple((tuple((g.name, x) for g, x in zip(gens, exps[k]) if x), c)
+                           for k, c in enumerate(self.num) if c), self.den))
 
     def __bool__(self):
         return not self.is_zero()

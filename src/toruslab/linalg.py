@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import DegenerateLattice, invariant
 from .exactfield import FieldElement, NumberField, dot, eliminate, union_field
@@ -188,28 +188,63 @@ def rational_kernel(rows, ncols):
 
 def solve_rational(rows, rhs):
     """One solution of A x = b over Q, or None if inconsistent."""
-    if not rows:
-        return [] if all(v == 0 for v in rhs) else None
-    ncols = len(rows[0])
-    aug = [list(map(Fraction, r)) + [Fraction(b)] for r, b in zip(rows, rhs)]
+    return coords_in_rows_many([list(col) for col in zip(*rows)], [rhs])[0]
+
+
+def coords_in_rows_many(rows, vecs):
+    """Coordinates of each vec in the rational row span of ``rows``.
+
+    Returns one entry per vec: Fractions x with sum(x[i] * rows[i]) = vec,
+    the coordinates of non-pivot rows set to 0, or None when vec is
+    outside the span.  One elimination of [rows^t | vec_1 ... vec_k]
+    serves every vec.  The row operations that reduce the rows^t block
+    act on each right-hand column on its own, so an in-span column reads
+    its coordinates off the first ``rank`` rows, and a column lies
+    outside the span exactly when it is nonzero below them.  A column
+    outside the span may take a pivot of its own; its pivot row is zero
+    in every in-span column, so clearing with it leaves those columns
+    alone.
+    """
+    vecs = [[Fraction(v) for v in vec] for vec in vecs]
+    n = len(rows)
+    if not n:
+        return [None if any(vec) else [] for vec in vecs]
+    width = len(rows[0])
+    if any(len(vec) != width for vec in vecs):
+        raise ValueError("vector length does not match the rows")
+    aug = [[Fraction(row[i]) for row in rows] + [vec[i] for vec in vecs]
+           for i in range(width)]
     pivots, _ = eliminate(aug)
-    if ncols in pivots:
-        return None
-    x = [_F0] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = aug[r][ncols]
-    return x
+    rank = sum(1 for c in pivots if c < n)
+    out = []
+    for j in range(n, n + len(vecs)):
+        if any(aug[i][j] for i in range(rank, width)):
+            out.append(None)
+            continue
+        x = [_F0] * n
+        for i in range(rank):
+            x[pivots[i]] = aug[i][j]
+        out.append(x)
+    return out
 
 
 def monomial_rows(conditions):
-    """Rational rows of field-valued linear conditions, one per monomial.
+    """Primitive integer rows of field-valued linear conditions, one per monomial.
 
     conditions[r][j] is the coefficient of unknown j in condition r, all
-    in one field.  A rational vector satisfies every condition exactly
-    when the rows annihilate it.
+    in one field.  Each condition is scaled by the lcm of its
+    denominators, and each row is divided by its gcd.  An integer vector
+    satisfies every condition exactly when the rows annihilate it.
     """
-    return [list(row) for cond in conditions
-            for row in zip(*(x.coeffs for x in cond))]
+    out = []
+    for cond in conditions:
+        l = lcm(*(x.den for x in cond))
+        scaled = [x.num if x.den == l else [v * (l // x.den) for v in x.num]
+                  for x in cond]
+        for row in zip(*scaled):
+            g = gcd(*row)
+            out.append(list(row) if g <= 1 else [v // g for v in row])
+    return out
 
 
 def clear_denominators(row):
@@ -324,10 +359,13 @@ def saturate(rational_rows, ncols):
     return integer_kernel(int_complement, ncols)
 
 
-def kernel_lattice(rational_rows, ncols):
-    """Saturated integer kernel of a rational matrix."""
-    int_rows = [clear_denominators(list(map(Fraction, r)))
-                for r in rational_rows if any(Fraction(v) != 0 for v in r)]
+def kernel_lattice(int_rows, ncols):
+    """Saturated integer kernel of an integer matrix.
+
+    The kernel does not depend on how the rows are scaled, and the basis
+    is a canonical HNF, so rows need not be primitive.
+    """
+    int_rows = [r for r in int_rows if any(r)]
     if not int_rows:
         return [[1 if k == j else 0 for k in range(ncols)] for j in range(ncols)]
     return integer_kernel(int_rows, ncols)
@@ -335,18 +373,12 @@ def kernel_lattice(rational_rows, ncols):
 
 def in_row_span_q(rows, vec):
     """Is vec in the rational row span?"""
-    if not rows:
-        return all(Fraction(v) == 0 for v in vec)
-    cols = [list(col) for col in zip(*rows)]
-    return solve_rational(cols, list(vec)) is not None
+    return coords_in_rows_many(rows, [vec])[0] is not None
 
 
 def coords_in_rows(rows, vec):
-    """Coordinates of vec in the given (independent) rows, or None."""
-    if not rows:
-        return None
-    cols = [list(col) for col in zip(*rows)]
-    return solve_rational(cols, list(vec))
+    """Coordinates of vec in the given rows, or None (see coords_in_rows_many)."""
+    return coords_in_rows_many(rows, [vec])[0]
 
 
 def complete_to_unimodular(coeffs):

@@ -35,6 +35,7 @@ from .linalg import (
     Mat,
     clear_denominators,
     coords_in_rows,
+    coords_in_rows_many,
     kernel_lattice,
     monomial_rows,
     rational_kernel,
@@ -650,32 +651,34 @@ def ns_to_symmetric_endo(h, ros: RosatiData, ns: NSLattice):
     subspace.
     """
     ns_membership_coords(ns, h)  # raises NotInEndo when h is outside NS_Q
-    coords = _psi_coords(ros, h)
+    (coords,) = _psi_coords(ros, [h])
     if ros.apply(coords) != list(coords):
         raise NotInEndo("image endomorphism is not Rosati-symmetric")
     _verify_ns_endo_iso(ros, ns)
     return coords
 
 
-def _psi_coords(ros: RosatiData, h):
-    m = h.M if isinstance(h, HermForm) else h
+def _psi_coords(ros: RosatiData, hs):
+    """Ring coordinates of conj(M0)^-1 conj(M) for each form, from one elimination."""
     ring = ros.ring
     t = ring.torus
     field = ros.H0.field
-    m = m.map(lambda v: v.in_field(field))
-    psi = ros.H0.conj().inv() @ m.conj()
-    r = _rational_rep(t, psi)
-    if r is None:
-        raise NotInEndo("induced map does not act rationally on the lattice")
-    basis_rows = [[Fraction(v) for v in b] for b in ring.basis_vecs()]
-    coords = coords_in_rows(basis_rows, [v for row in r for v in row])
-    if coords is None:
+    m0c_inv = ros.H0.conj().inv()
+    images = []
+    for h in hs:
+        m = h.M if isinstance(h, HermForm) else h
+        r = _rational_rep(t, m0c_inv @ m.map(lambda v: v.in_field(field)).conj())
+        if r is None:
+            raise NotInEndo("induced map does not act rationally on the lattice")
+        images.append([v for row in r for v in row])
+    coords = coords_in_rows_many(ring.basis_vecs(), images)
+    if any(c is None for c in coords):
         raise NotInEndo("induced map is not in the endomorphism algebra")
     return coords
 
 
 def _verify_ns_endo_iso(ros: RosatiData, ns: NSLattice) -> None:
-    images = [_psi_coords(ros, herm) for _, herm in ns.basis]
+    images = _psi_coords(ros, [herm for _, herm in ns.basis])
     if images:
         _, pivots = rref(images)
         invariant(len(pivots) == ns.rank, "NS -> End^s map is not injective on the basis")

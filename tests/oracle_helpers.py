@@ -7,14 +7,19 @@ root enclosure comes from integer roots rather than from refining a box.
 The polarization ascent reference is the one-restart-at-a-time loop that
 the library's batched ascent must reproduce bit for bit, and the embed
 reference builds every generator and power box afresh on each call, as
-embed did before it cached monomial boxes.
+embed did before it cached monomial boxes.  The structure-tensor and
+Rosati references run `eliminate` on one right-hand column at a time, as
+the library did before it solved every vector against a basis in one
+elimination, and check the involution over Fractions instead of
+integers.
 """
 
 from fractions import Fraction
 from math import isqrt
 
 from toruslab.errors import ValidationError
-from toruslab.exactfield import ComplexBox, _box_pow, _field_data, _gen_box
+from toruslab.endo import _mat_mul_int, _rational_rep
+from toruslab.exactfield import ComplexBox, _box_pow, _field_data, _gen_box, eliminate
 from toruslab.linalg import Mat
 
 _F0 = Fraction(0)
@@ -169,3 +174,68 @@ def embed_per_call(a, precision_bits: int) -> ComplexBox:
         total = total.add(mono.scale(c))
     # den > 0: the same endpoints as a sum of coefficient-scaled boxes
     return total if a.den == 1 else total.scale(Fraction(1, a.den))
+
+
+def rank_last_pivot(rows, ncols) -> int:
+    """Rank of a rational matrix by the last-column-first elimination."""
+    return ncols - _kernel_dim_last_pivot([[Fraction(v) for v in r] for r in rows], ncols)
+
+
+def coords_one_vector(rows, vec):
+    """Coordinates of vec in the row span, by one elimination of [rows^t | vec]."""
+    n = len(rows)
+    aug = [[Fraction(r[i]) for r in rows] + [Fraction(vec[i])] for i in range(len(vec))]
+    pivots, _ = eliminate(aug)
+    if n in pivots:
+        return None
+    x = [_F0] * n
+    for r, pc in enumerate(pivots):
+        x[pc] = aug[r][n]
+    return x
+
+
+def structure_tensor_per_product(basis):
+    """Integer coordinates of each b_i b_j, one solve per product."""
+    vecs = [b.vec() for b in basis]
+    tensor = []
+    for bi in basis:
+        row = []
+        for bj in basis:
+            prod = _mat_mul_int(bi.R, bj.R)
+            coords = coords_one_vector(vecs, [v for r in prod for v in r])
+            assert coords is not None and all(c.denominator == 1 for c in coords)
+            row.append(tuple(int(c) for c in coords))
+        tensor.append(tuple(row))
+    return tuple(tensor)
+
+
+def rosati_rows_per_image(ring, m0):
+    """Ring coordinates of conj(M0)^-1 conj_t(A_j) conj(M0), one solve per basis element."""
+    t = ring.torus
+    m0c = m0.map(lambda x: x.in_field(t.field)).conj()
+    m0c_inv = m0c.inv()
+    rows = []
+    for b in ring.basis:
+        r_prime = _rational_rep(t, m0c_inv @ b.A.conj_t() @ m0c)
+        assert r_prime is not None
+        coords = coords_one_vector([b.vec() for b in ring.basis],
+                                   [v for row in r_prime for v in row])
+        assert coords is not None
+        rows.append(tuple(coords))
+    return tuple(rows)
+
+
+def involution_holds_over_fractions(ring, involution) -> bool:
+    """sigma^2 = id and sigma(b_j b_k) = sigma(b_k) sigma(b_j) over Fractions."""
+    n = ring.rank
+
+    def apply(coords):
+        return [sum(Fraction(coords[j]) * involution[j][k] for j in range(n))
+                for k in range(n)]
+
+    e = [[_F1 if i == j else _F0 for j in range(n)] for i in range(n)]
+    img = [apply(e[j]) for j in range(n)]
+    if any(apply(img[j]) != e[j] for j in range(n)):
+        return False
+    return all(apply(ring.structure[j][k]) == ring.multiply_coords(img[k], img[j])
+               for j in range(n) for k in range(n))

@@ -248,3 +248,52 @@ def test_precision_out_of_range_is_a_usage_error(bits, capsys):
     assert code == 2
     assert out == ""
     assert "argument --precision: must be an integer in [8, 4096]" in err
+
+
+def test_powers_within_the_bounds_are_exact():
+    f = NumberField(())
+    assert parse_expression("2^4095", f) == f.rational(2 ** 4095)
+    assert parse_expression("i^1000000001", f) == f.i()
+    assert parse_expression("(1+i)^-3", f) == f.one() / (f.one() + f.i()) ** 3
+    assert parse_expression("(2/3)^0", f) == f.one()
+    assert parse_expression("9" * 1000, f) == f.rational(int("9" * 1000))
+    with pytest.raises(ParseError):
+        parse_expression("2^4096", f)
+    with pytest.raises(ParseError):
+        parse_expression("9" * 1001, f)
+
+
+_OVERSIZED = {
+    "huge exponent": "2^1000000000",
+    "large power": "2^100000",
+    "negative power": "2^-100000",
+    "nested powers": "(((2^64)^64)^64)^64",
+    "long literal": "1" * 5001,
+    "long exponent": "i^" + "1" * 5001,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_OVERSIZED))
+def test_oversized_expression_is_an_input_error(name, tmp_path, capsys):
+    doc = json.loads((TORI / "example1_m1.json").read_text())
+    doc["period"][0][2] = _OVERSIZED[name]
+    bad = tmp_path / "big.json"
+    bad.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, out, err = _run(["endo", str(bad)], capsys)
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    assert "ParseError" in err
+    assert "Traceback" not in err
+
+
+def test_json_integer_past_the_digit_limit_is_an_input_error(tmp_path, capsys):
+    text = (TORI / "example1_m1.json").read_text()
+    assert '"d": -1' in text
+    bad = tmp_path / "big.json"
+    bad.write_text(text.replace('"d": -1', '"d": -' + "1" * 5001))
+    code, out, err = _run(["endo", str(bad)], capsys)
+    assert code == 2
+    assert "ParseError" in err
+    assert "Traceback" not in err

@@ -371,3 +371,27 @@ def test_refine_real_root_on_bundled_generators(bits):
         assert box_lo <= lo < hi <= box_hi
         assert hi - lo <= target
         assert exactfield._poly_eval(q, lo) * exactfield._poly_eval(q, hi) < 0
+
+
+def test_equal_elements_hash_equal_across_fields_and_numbers():
+    from toruslab.linalg import Mat
+
+    q = NumberField(())
+    big = NumberField((CBRT2, SQRTM2))
+    assert {q.rational(3), 3} == {3}
+    assert len({q.rational(3), big.rational(3), 3, F(3)}) == 1
+    assert len({q.rational(F(-5, 6)), F(-5, 6), big.rational(F(-5, 6))}) == 1
+    lookup = {3: "int", F(1, 2): "half"}
+    assert lookup[q.rational(3)] == "int"
+    assert lookup[big.rational(F(1, 2))] == "half"
+    x = q.i() * F(2, 3) + 1
+    y = x.in_field(big)
+    assert x == y and hash(x) == hash(y)
+    assert {x: 1}[y] == 1
+    z = big.gen("r") ** 2 / 7 + big.gen("s") * big.i()
+    assert z == z.in_field(NumberField((SQRTM2, CBRT2)))
+    assert len({z, z.in_field(NumberField((SQRTM2, CBRT2)))}) == 1
+    assert x != z and len({x, y, z}) == 2
+    assert Mat.identity(q, 2) == Mat.identity(big, 2)
+    assert hash(Mat.identity(q, 2)) == hash(Mat.identity(big, 2))
+    assert len({Mat.identity(q, 2), Mat.identity(big, 2)}) == 1
