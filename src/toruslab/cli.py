@@ -48,9 +48,10 @@ _INTERNAL_ERRORS = (PrecisionExhausted, NotClosed, NotStable, UnrecognizedStruct
 
 #: the longest integer literal an expression may hold, in decimal digits
 MAX_LITERAL_DIGITS = 1000
-#: the largest numerator or denominator, in bits, of a power's result and
-#: of each square computed on the way to it
-MAX_POWER_BITS = 4096
+#: the largest numerator or denominator, in bits, of every value computed
+#: while parsing: each sum, difference, product and quotient, and each
+#: square on the way to a power
+MAX_VALUE_BITS = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +134,7 @@ def _parse_sum(toks, field):
     while toks.peek() == ("op", "+") or toks.peek() == ("op", "-"):
         _, op = toks.take()
         rhs = _parse_term(toks, field)
-        acc = acc + rhs if op == "+" else acc - rhs
+        acc = _bounded(acc + rhs if op == "+" else acc - rhs)
     return acc
 
 
@@ -142,7 +143,7 @@ def _parse_term(toks, field):
     while toks.peek() == ("op", "*") or toks.peek() == ("op", "/"):
         _, op = toks.take()
         rhs = _parse_factor(toks, field)
-        acc = acc * rhs if op == "*" else acc / rhs
+        acc = _bounded(acc * rhs if op == "*" else acc / rhs)
     return acc
 
 
@@ -167,22 +168,24 @@ def _parse_factor(toks, field):
     return base if sign > 0 else -base
 
 
+def _bounded(x):
+    """x, or a ParseError when a numerator or the denominator passes MAX_VALUE_BITS."""
+    if max(max(map(abs, x.num)), x.den).bit_length() > MAX_VALUE_BITS:
+        raise ParseError(f"a value in the expression exceeds {MAX_VALUE_BITS} bits")
+    return x
+
+
 def _bounded_power(base, e):
     """base ** e by repeated squaring, refused as soon as a value grows too large."""
-    def checked(x):
-        if max(max(map(abs, x.num)), x.den).bit_length() > MAX_POWER_BITS:
-            raise ParseError(f"a power exceeds {MAX_POWER_BITS} bits")
-        return x
-
     acc, square, k = base.field.one(), base, abs(e)
     while True:
         if k & 1:
-            acc = checked(acc * square)
+            acc = _bounded(acc * square)
         k >>= 1
         if not k:
             break
-        square = checked(square * square)
-    return acc if e >= 0 else checked(base.field.one() / acc)
+        square = _bounded(square * square)
+    return acc if e >= 0 else _bounded(base.field.one() / acc)
 
 
 def _parse_atom(toks, field):
@@ -500,7 +503,8 @@ def _cmd_gen_example(args) -> tuple[dict, int]:
 # ---------------------------------------------------------------------------
 
 def _seed(text: str) -> int:
-    if not (text.isascii() and text.isdigit()):  # numpy takes no negative seed
+    # random.Random(-n) is random.Random(n): a negative seed would alias silently
+    if not (text.isascii() and text.isdigit()):
         raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
     return int(text)
 
@@ -529,7 +533,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--precision", type=_int_in(8, 4096), default=argparse.SUPPRESS,
                         help="bits for approximate output values, 8 to 4096 (default 128)")
     common.add_argument("--seed", type=_seed, default=argparse.SUPPRESS,
-                        help="seed for searches and random generation (default 0)")
+                        help="seed of gen-example random and of the lambda round-trip "
+                             "sample of verify-prop; other commands ignore it (default 0)")
     parser = argparse.ArgumentParser(
         prog="toruslab", parents=[common],
         description="exact endomorphism and Neron-Severi computations "

@@ -14,23 +14,24 @@ D-diagonal coordinates every member of N_D is diagonal (d > 0) or
 antidiagonal (d < 0); the latter shape makes every determinant
 nonpositive, which is the exact non-algebraicity certificate.
 
-The polarization search is numeric-propose / exact-certify: projected
-supergradient ascent on the smallest eigenvalue of the real Gram form,
-rationalization of the best direction, then an escalating exhaustive box
-search.  A failed search is never evidence of non-algebraicity; sound
-obstructions are the rank-0, antidiagonal and Pfaffian certificates.
+Polarization is decided exactly, with no float.  For C the real
+coordinate matrix of the lattice, det(C) det(M_E) = Pf(E), a quadratic
+form c^t G c in NS coordinates; so H_c is definite exactly when
+sigma c^t G c > 0, sigma the sign of det C.  One Lagrange reduction of
+sigma G either finds such a c, whose form is certified positive
+definite, or proves sigma G negative semidefinite: then no form is
+positive definite (the Pfaffian certificate, with the identity checked
+on the forms that determine G).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from .endo import RosatiData, _rational_rep, is_positive_definite, symmetric_subspace
 from .errors import NotABasis, NotInEndo, NotInND, NotRational, NotReal, ScalarD, invariant
-from .exactfield import FieldElement, dot, eliminate, embed, exact_sign, union_field
+from .exactfield import FieldElement, dot, exact_sign, union_field
 from .linalg import (
     Mat,
     clear_denominators,
@@ -417,103 +418,96 @@ class Polarization:
     herm: HermForm
 
 
-def _float_gram_stack(ns: NSLattice):
-    """Float 4x4 Gram matrices of Re H (= E(Jx, y)) for each basis form."""
-    import numpy as np
+def _positive_vector(q):
+    """A rational v with v^t q v > 0 for a symmetric rational q, or None.
 
-    t = ns.torus
-    j_float = np.array([[embed(t.J[r, c], 32).midpoint().real for c in range(4)]
-                        for r in range(4)])
-    mats = []
-    for alt, _ in ns.basis:
-        e = np.array(alt.E, dtype=float)
-        s = j_float.T @ e
-        mats.append((s + s.T) / 2)
-    return mats
-
-
-def _certify(ns: NSLattice, int_coords) -> Polarization | None:
-    g = gcd(*int_coords)
-    if g == 0:
-        return None
-    int_coords = [v // g for v in int_coords]
-    alt, herm = ns.combination(int_coords)
-    if is_positive_definite(herm):
-        return Polarization(coords=tuple(int_coords), alt=alt, herm=herm)
-    return None
-
-
-def _ascent(mats, seed: int):
-    """Phase 1 of `polarization_search`: the best direction and its smallest eigenvalue.
-
-    The 32 restarts are the rows of one array, with one stacked `eigh` per
-    step.  Each operation rounds as in the one-restart loop kept in
-    tests/oracle_helpers.py (not einsum, not norm(axis=1)), so the result is
-    the same bit for bit.  A restart whose step vanishes stays at zero.
+    Lagrange's reduction.  A positive diagonal entry q_aa gives e_a.  A
+    zero one with q_ab != 0 gives t e_a + e_b, of value 2 t q_ab + q_bb > 0
+    for t = sign(q_ab) (floor(|q_bb| / |2 q_ab|) + 1).  Otherwise the first
+    negative q_aa is completed to a square: x^t q x is q_aa (x_a + ...)^2
+    plus the Schur complement S on the other coordinates, so q takes a
+    positive value exactly when S does, at the vector lifted back with
+    the square term zero.  None is returned for q = 0 only, so it proves
+    q negative semidefinite.
     """
-    import numpy as np
-
-    def gram(cs):
-        return sum(cs[:, i, None, None] * m for i, m in enumerate(mats))
-
-    cs = [np.random.default_rng(1000 * seed + j).standard_normal(len(mats)) for j in range(32)]
-    cs = np.array([c / np.linalg.norm(c) for c in cs])
-    live = np.ones(len(cs), dtype=bool)
-    for k in range(160):
-        x = np.linalg.eigh(gram(cs))[1][:, :, 0]
-        grad = np.stack([(x[:, None, :] @ m @ x[:, :, None])[:, 0, 0] for m in mats], axis=1)
-        step = cs + (0.4 / np.sqrt(k + 1)) * grad
-        nrm = np.sqrt((step[:, None, :] @ step[:, :, None])[:, 0, 0])
-        cs[live] = step[live]
-        live &= nrm != 0
-        cs[live] /= nrm[live, None]
-    vals = np.linalg.eigh(gram(cs))[0][:, 0]
-    best = np.argmax(vals)
-    return cs[best], vals[best]
+    n = len(q)
+    for a in range(n):
+        if q[a][a] > 0:
+            return [_F1 if j == a else _F0 for j in range(n)]
+    for a in range(n):
+        if q[a][a] != 0:
+            continue
+        b = next((b for b in range(n) if q[a][b] != 0), None)
+        if b is not None:
+            t = abs(q[b][b]) // abs(2 * q[a][b]) + 1
+            v = [_F0] * n
+            v[a], v[b] = Fraction(t if q[a][b] > 0 else -t), _F1
+            return v
+    a = next((a for a in range(n) if q[a][a] < 0), None)
+    if a is None:
+        return None
+    rest = [j for j in range(n) if j != a]
+    w = _positive_vector([[q[i][j] - Fraction(q[i][a] * q[a][j], q[a][a]) for j in rest]
+                          for i in rest])
+    if w is None:
+        return None
+    x_a = -Fraction(sum(q[a][j] * wj for j, wj in zip(rest, w)), q[a][a])
+    return w[:a] + [x_a] + w[a:]
 
 
 def polarization_search(ns: NSLattice, seed: int = 0) -> Polarization | None:
-    """Find an exactly-certified positive definite integral combination.
+    """An exactly certified positive definite integral form, or None when there is none.
 
-    Phase 1 maximizes the smallest eigenvalue of the Gram form over unit
-    coefficient vectors by projected supergradient ascent (the objective
-    is concave).  Its 32 deterministic restarts advance together, one
-    stacked `eigh` per step, with the same result as ascending each
-    restart on its own.  The best direction is rationalized with
-    denominators <= 10^4 and certified exactly.  Phase 2 falls back to an
-    exhaustive box search with escalating bound 1, 2, 4, 8 in
-    lexicographic order.  Returns None only after both phases fail; that
-    is "not found under the documented caps", never a proof of absence.
+    For C the real coordinate matrix of the lattice (`Torus.real_det`),
+    det(C) det(M_c) = Pf(E_c) = c^t G c with G = ns.pfaffian_gram(), so
+    M_c is definite exactly when sigma c^t G c > 0, sigma =
+    orientation_sign.  `_positive_vector(sigma G)` finds such a c; it is
+    made primitive and integral, negated when M_c is negative definite,
+    and certified.  None means sigma G is negative semidefinite;
+    `pfaffian_certificate` turns that into a proof.  The result does not
+    depend on seed, which is accepted and ignored.
     """
-    import numpy as np  # here, not at module level: start-up does not pay for it
-
-    r = ns.rank
-    if r == 0:
+    sigma = orientation_sign(ns.torus)
+    v = _positive_vector([[sigma * g for g in row] for row in ns.pfaffian_gram()])
+    if v is None:
         return None
-    mats = _float_gram_stack(ns)
-    best_c, best_val = _ascent(mats, seed)
-    if best_val > 0:
-        scale = max(abs(x) for x in best_c)
-        for den in (1, 2, 3, 4, 6, 8, 12, 16, 10 ** 4):
-            fracs = [Fraction(float(x / scale)).limit_denominator(den)
-                     for x in best_c]
-            if all(v == 0 for v in fracs):
-                continue
-            ints = clear_denominators(fracs)
-            cert = _certify(ns, ints)
-            if cert is not None:
-                return cert
-    for bound in (1, 2, 4, 8):
-        for c in itertools.product(range(-bound, bound + 1), repeat=r):
-            if all(v == 0 for v in c):
-                continue
-            s = sum(ci * m for ci, m in zip(c, mats))
-            if np.linalg.eigvalsh(s)[0] <= 1e-12:
-                continue
-            cert = _certify(ns, list(c))
-            if cert is not None:
-                return cert
-    return None
+    coords = clear_denominators(v)
+    alt, herm = ns.combination(coords)
+    if exact_sign(herm.M[0, 0]) < 0:
+        coords = [-c for c in coords]
+        alt, herm = ns.combination(coords)
+    invariant(is_positive_definite(herm),
+              "a form with sigma * Pf > 0 failed its positivity certificate")
+    return Polarization(coords=tuple(coords), alt=alt, herm=herm)
+
+
+def pfaffian_certificate(ns: NSLattice) -> dict:
+    """Witness that no form of ns is positive definite, for a None from polarization_search.
+
+    sigma G is then negative semidefinite, and det(M_c) has the sign of
+    sigma c^t G c, so no M_c is definite positive.  The identity
+    det(C) det(M_c) = c^t G c behind that is checked first.
+    """
+    gram = ns.pfaffian_gram()
+    check_pfaffian_identity(ns, gram, ns.torus.real_det)
+    return {"kind": "pfaffian-nonpositive",
+            "sigma": orientation_sign(ns.torus),
+            "gram": [[str(v) for v in row] for row in gram]}
+
+
+def check_pfaffian_identity(ns: NSLattice, gram, det_c) -> None:
+    """det_c * det(M_c) == c^t gram c exactly, on the basis forms and their pair sums.
+
+    Both sides are quadratic in c, and these r(r + 1)/2 supports
+    determine a quadratic form, so the identity then holds for every c.
+    A mismatch raises InvariantViolation.
+    """
+    r = ns.rank
+    for support in [(a,) for a in range(r)] + [(a, b) for a in range(r) for b in range(a + 1, r)]:
+        _, herm = ns.combination([int(a in support) for a in range(r)])
+        pf = sum(gram[a][b] for a in support for b in support)
+        invariant(det_c * herm.det() == herm.M.field.rational(pf),
+                  "det(C) det(M) differs from the Pfaffian")
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +516,7 @@ def polarization_search(ns: NSLattice, seed: int = 0) -> Polarization | None:
 
 @dataclass(frozen=True)
 class AlgebraicityVerdict:
-    status: str                    # "algebraic" | "not-algebraic" | "unknown"
+    status: str                    # "algebraic" | "not-algebraic"
     certificate: dict
     polarization: Polarization | None = None   # the certified form when "algebraic"
 
@@ -531,43 +525,26 @@ class AlgebraicityVerdict:
         return self.status == "algebraic"
 
 
-def _principal_minors_psd(g) -> bool:
-    """Exact PSD test: every principal minor is nonnegative."""
-    n = len(g)
-    for size in range(1, n + 1):
-        for subset in itertools.combinations(range(n), size):
-            sub = [[g[a][b] for b in subset] for a in subset]
-            pivots, minor = eliminate(sub, reduced=False)
-            if len(pivots) == size and minor < 0:
-                return False
-    return True
-
-
 def orientation_sign(t: Torus) -> int:
     """Sign of the determinant of the real coordinate matrix of the lattice."""
-    rows = []
-    for r in range(2):
-        rows.append([t.period.entries[r, c].real_part() for c in range(4)])
-        rows.append([t.period.entries[r, c].imag_part() for c in range(4)])
-    c_mat = Mat.from_rows(rows)
-    return exact_sign(c_mat.det())
+    return exact_sign(t.real_det)
 
 
 def is_algebraic(t: Torus, mults=(), seed: int = 0,
                  ns: NSLattice | None = None) -> AlgebraicityVerdict:
-    """Decide algebraicity with an exact certificate where possible.
+    """Decide algebraicity, with an exact certificate either way.
 
-    Sound NotAlgebraic certificates, tried in order:
+    NotAlgebraic certificates, tried in order:
       * NS rank 0,
       * for an attached nonscalar multiplication with d < 0: every NS
         basis form is antidiagonal in D-diagonal coordinates (then no
         real combination has positive determinant),
       * the Pfaffian quadratic form of NS, corrected by the lattice
-        orientation, is negative semidefinite (exact principal minors).
+        orientation, is negative semidefinite (`pfaffian_certificate`).
 
-    Algebraic requires an exactly certified positive definite integral
-    form from polarization_search, returned as the verdict's
-    polarization; otherwise the verdict is Unknown.
+    Otherwise polarization_search returns a certified positive definite
+    integral form, the verdict's polarization.  The verdict does not
+    depend on seed, which is accepted and ignored.
     """
     if ns is None:
         ns = compute_ns(t)
@@ -584,37 +561,15 @@ def is_algebraic(t: Torus, mults=(), seed: int = 0,
                 "d": mult.d,
                 "transported": [m.entries_str() for m in transported],
             })
-    sigma = orientation_sign(t)
-    gram = ns.pfaffian_gram()
-    neg = [[-sigma * v for v in row] for row in gram]
-    if _principal_minors_psd(neg):
-        _crosscheck_pfaffian_signs(ns, gram, sigma)
-        return AlgebraicityVerdict("not-algebraic", {
-            "kind": "pfaffian-nonpositive",
-            "sigma": sigma,
-            "gram": [[str(v) for v in row] for row in gram],
-        })
     found = polarization_search(ns, seed=seed)
-    if found is not None:
-        return AlgebraicityVerdict("algebraic", {
-            "kind": "positive-definite-form",
-            "coords": list(found.coords),
-            "E": [list(r) for r in found.alt.E],
-            "M": found.herm.M.entries_str(),
-        }, polarization=found)
-    return AlgebraicityVerdict("unknown", {"kind": "search-exhausted"})
-
-
-def _crosscheck_pfaffian_signs(ns: NSLattice, gram, sigma) -> None:
-    """det(M_c) and sigma * Pf(E_c) must have equal exact signs."""
-    r = ns.rank
-    supports = [(j,) for j in range(r)] + list(itertools.combinations(range(r), 2))
-    for c in ([int(a in s) for a in range(r)] for s in supports):
-        q = sum(Fraction(c[a]) * gram[a][b] * c[b] for a in range(r) for b in range(r))
-        _, herm = ns.combination(c)
-        det_sign = exact_sign(herm.det())
-        pf_sign = sigma * ((q > 0) - (q < 0))
-        invariant(det_sign == pf_sign, "Pfaffian certificate failed its cross-check")
+    if found is None:
+        return AlgebraicityVerdict("not-algebraic", pfaffian_certificate(ns))
+    return AlgebraicityVerdict("algebraic", {
+        "kind": "positive-definite-form",
+        "coords": list(found.coords),
+        "E": [list(r) for r in found.alt.E],
+        "M": found.herm.M.entries_str(),
+    }, polarization=found)
 
 
 # ---------------------------------------------------------------------------

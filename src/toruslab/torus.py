@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import (
     DegenerateLattice,
@@ -69,6 +70,18 @@ class Torus:
     def right_inverse(self) -> Mat:
         """Pi^+ with Pi * Pi^+ = I_2 (first two columns of P^{-1})."""
         return self.big_p_inv.submatrix(range(4), range(2))
+
+    @cached_property
+    def real_det(self) -> FieldElement:
+        """det C for the real coordinate matrix C = [Re Pi_0; Im Pi_0; Re Pi_1; Im Pi_1].
+
+        Computed on first use and kept; its sign orients the lattice.
+        """
+        rows = []
+        for r in range(2):
+            rows.append([self.period.entries[r, c].real_part() for c in range(4)])
+            rows.append([self.period.entries[r, c].imag_part() for c in range(4)])
+        return Mat.from_rows(rows).det()
 
 
 def build_torus(period: PeriodMatrix) -> Torus:

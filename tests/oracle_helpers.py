@@ -4,10 +4,10 @@ These deliberately avoid the library's elimination code: the rank oracle
 builds the compatibility system with reversed variable and equation
 order and reduces it with its own last-column-first pivoting, and the
 root enclosure comes from integer roots rather than from refining a box.
-The polarization ascent reference is the one-restart-at-a-time loop that
-the library's batched ascent must reproduce bit for bit, and the embed
-reference builds every generator and power box afresh on each call, as
-embed did before it cached monomial boxes.  The structure-tensor and
+The semidefiniteness oracle tests every principal minor with its own
+Fraction determinant, where the library runs one Lagrange reduction.
+The embed reference builds every generator and power box afresh on each
+call, as embed did before it cached monomial boxes.  The structure-tensor and
 Rosati references run `eliminate` on one right-hand column at a time, as
 the library did before it solved every vector against a basis in one
 elimination, and check the involution over Fractions instead of
@@ -15,6 +15,7 @@ integers.
 """
 
 from fractions import Fraction
+from itertools import combinations
 from math import isqrt
 
 from toruslab.errors import ValidationError
@@ -103,38 +104,33 @@ def _integer_root(n: int, j: int) -> int:
         x = y
 
 
-def polarization_ascent_reference(mats, seed: int):
-    """Phase 1 of the polarization search, one restart at a time.
+def is_negative_semidefinite(q) -> bool:
+    """Exact test: every principal minor of -q is nonnegative."""
+    n = len(q)
+    neg = [[-Fraction(v) for v in row] for row in q]
+    return all(fraction_det([[neg[a][b] for b in subset] for a in subset]) >= 0
+               for size in range(1, n + 1)
+               for subset in combinations(range(n), size))
 
-    The projected supergradient ascent on the smallest eigenvalue of
-    sum c_i mats[i]: 32 restarts of 160 steps, one `eigh` per step.
-    Returns (best_c, best_val) with the first restart that attains the
-    largest final value.
-    """
-    import numpy as np
 
-    def min_eig(c):
-        s = sum(ci * m for ci, m in zip(c, mats))
-        w, v = np.linalg.eigh(s)
-        return w[0], v[:, 0]
-
-    best_c, best_val = None, -np.inf
-    for restart in range(32):
-        rng = np.random.default_rng(1000 * seed + restart)
-        c = rng.standard_normal(len(mats))
-        c /= np.linalg.norm(c)
-        for k in range(160):
-            val, x = min_eig(c)
-            grad = np.array([x @ m @ x for m in mats])
-            c = c + (0.4 / np.sqrt(k + 1)) * grad
-            nrm = np.linalg.norm(c)
-            if nrm == 0:
-                break
-            c /= nrm
-        val, _ = min_eig(c)
-        if val > best_val:
-            best_val, best_c = val, c
-    return best_c, best_val
+def fraction_det(m) -> Fraction:
+    """Determinant by Gaussian elimination over Fractions, counting row swaps."""
+    m = [list(row) for row in m]
+    n = len(m)
+    det = _F1
+    for c in range(n):
+        p = next((r for r in range(c, n) if m[r][c] != 0), None)
+        if p is None:
+            return _F0
+        if p != c:
+            m[c], m[p] = m[p], m[c]
+            det = -det
+        det *= m[c][c]
+        for r in range(c + 1, n):
+            f = m[r][c] / m[c][c]
+            if f:
+                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
+    return det
 
 
 def embed_per_call(a, precision_bits: int) -> ComplexBox:

@@ -297,3 +297,59 @@ def test_json_integer_past_the_digit_limit_is_an_input_error(tmp_path, capsys):
     assert code == 2
     assert "ParseError" in err
     assert "Traceback" not in err
+
+
+_OVERSIZED_ARITHMETIC = {
+    "product": "*".join(["2^4000"] * 6),
+    "sum": "2^4095+2^4095",
+    "difference": "-2^4095-2^4095",
+    "quotient": "(2^4000/3^2500)/3^2500",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_OVERSIZED_ARITHMETIC))
+def test_oversized_arithmetic_is_an_input_error(name, tmp_path, capsys):
+    # each operand is within the bounds; the value they combine to is not
+    doc = json.loads((TORI / "example1_m1.json").read_text())
+    doc["period"][0][2] = _OVERSIZED_ARITHMETIC[name]
+    bad = tmp_path / "big.json"
+    bad.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, out, err = _run(["endo", str(bad)], capsys)
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    assert "ParseError" in err
+    assert "Traceback" not in err
+
+
+def test_values_within_the_bound_are_exact():
+    f = NumberField(())
+    assert parse_expression("2^4094+2^4094", f) == f.rational(2 ** 4095)
+    assert parse_expression("2^2000*2^2000", f) == f.rational(2 ** 4000)
+    assert parse_expression("2^3000*2^1000/2^3999", f) == f.rational(2)
+
+
+def test_commands_run_without_numpy():
+    # polarization is exact: no command reaches for numpy
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p)
+    code = (
+        "import contextlib, io, sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from toruslab import cli\n"
+        "tori, codes = sys.argv[1], []\n"
+        "for doc in ('random_d2_seed1', 'scalar_m1', 'example2_m1_n2'):\n"
+        "    for cmd in ('polarize', 'verify-prop', 'verify-cor'):\n"
+        "        sys.argv = ['toruslab', '--json', cmd, f'{tori}/{doc}.json']\n"
+        "        with contextlib.redirect_stdout(io.StringIO()):\n"
+        "            try:\n"
+        "                cli.main()\n"
+        "            except SystemExit as e:\n"
+        "                codes.append(e.code)\n"
+        "print(codes)\n")
+    r = subprocess.run([sys.executable, "-c", code, str(TORI)], capture_output=True,
+                       text=True, env=env)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == str([0] * 9), r.stderr

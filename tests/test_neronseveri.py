@@ -1,14 +1,12 @@
 from fractions import Fraction as F
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toruslab import exactfield
 from toruslab.endo import compute_endo_ring, rosati_involution
 from toruslab.errors import NotABasis, NotInEndo, NotInND, ScalarD
-from toruslab.exactfield import NumberField, embed, sqrt_element
+from toruslab.exactfield import NumberField, sqrt_element
 from toruslab.linalg import Mat
 from toruslab.cli import parse_input
 from toruslab.neronseveri import (
@@ -32,14 +30,12 @@ from toruslab.neronseveri import (
     ns_to_symmetric_endo,
     polarization_search,
     transport_to_diagonal,
-    _float_gram_stack,
 )
-from toruslab.neronseveri import _ascent
 from toruslab.papercheck import random_torus_with_sqrt_d, scalar_cm_product
 from toruslab.torus import attach_multiplication, lattice_form
 
 from conftest import TORI
-from oracle_helpers import oracle_ns_rank, polarization_ascent_reference
+from oracle_helpers import oracle_ns_rank
 
 
 @pytest.fixture(scope="module")
@@ -378,68 +374,3 @@ def test_polarization_search_is_deterministic(cm_product):
     p1 = polarization_search(ns, seed=3)
     p2 = polarization_search(ns, seed=3)
     assert p1.coords == p2.coords and p1.alt.E == p2.alt.E
-
-
-def test_float_gram_stack_independent_of_earlier_embeds(d2_lattice, monkeypatch):
-    # the float Gram matrices that steer polarization_search must not
-    # depend on which precisions embed was asked for earlier
-    torus, _ = d2_lattice
-    ns = compute_ns(torus)
-    monkeypatch.setattr(exactfield, "_BOX_CACHE", {})
-    before = _float_gram_stack(ns)
-    for r in range(4):
-        for c in range(4):
-            embed(torus.J[r, c], 1024)
-    after = _float_gram_stack(ns)
-    assert len(before) == len(after) == ns.rank
-    for x, y in zip(before, after):
-        assert np.array_equal(x, y)
-
-
-# ---------------------------------------------------------------------------
-# batched polarization ascent
-# ---------------------------------------------------------------------------
-
-def _assert_same_ascent(mats, seed=0):
-    best_c, best_val = _ascent(mats, seed)
-    ref_c, ref_val = polarization_ascent_reference(mats, seed)
-    assert np.array_equal(best_c, ref_c)
-    assert best_val == ref_val
-
-
-@pytest.mark.parametrize("d", [2, 3, 5, 6, 7])
-def test_batched_ascent_matches_reference_on_ns_and_nd(d):
-    # bit for bit: the same direction and the same float eigenvalue
-    for seed in range(1, 6):
-        torus, mult = random_torus_with_sqrt_d(d, seed)
-        ns = compute_ns(torus)
-        _assert_same_ascent(_float_gram_stack(ns))
-        _assert_same_ascent(_float_gram_stack(compute_N_D(ns, mult)))
-
-
-@pytest.mark.parametrize("m", [1, 2, 3])
-def test_batched_ascent_matches_reference_scalar(m):
-    ns = compute_ns(scalar_cm_product(m))
-    assert ns.rank == 4
-    _assert_same_ascent(_float_gram_stack(ns), seed=m)
-
-
-def test_batched_ascent_freezes_vanishing_steps():
-    # with mats = [-2.5 I] a restart drawn at c = +1 steps exactly to 0
-    # and must stay there; the others converge to c = -1
-    _assert_same_ascent([np.eye(4) * -2.5])
-
-
-def test_polarization_search_eigh_calls_bounded(cm_product, monkeypatch):
-    # one stacked eigh per ascent step, plus one for the final values
-    calls = []
-    eigh = np.linalg.eigh
-
-    def counting_eigh(a, *args, **kwargs):
-        calls.append(np.shape(a))
-        return eigh(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-    torus, _ = cm_product
-    assert polarization_search(compute_ns(torus)) is not None
-    assert 0 < len(calls) <= 161
