@@ -36,6 +36,7 @@ from .exactfield import (
     FieldElement,
     GeneratorSpec,
     NumberField,
+    certify_independence,
     embed,
     frac_str,
     sqrt_element,
@@ -52,6 +53,12 @@ MAX_LITERAL_DIGITS = 1000
 #: while parsing: each sum, difference, product and quotient, and each
 #: square on the way to a power
 MAX_VALUE_BITS = 4096
+#: the largest sum, over the eight period entries, of each entry's size
+#: in bits (its largest numerator or its denominator).  Reported values
+#: (NS forms, lattice actions) are quotients of products of several
+#: entries, so they grow to a few times the largest entry; with one
+#: entry of 2^4000, `ns` printed integers past Python's 4300-digit limit
+MAX_PERIOD_BITS = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -168,9 +175,14 @@ def _parse_factor(toks, field):
     return base if sign > 0 else -base
 
 
+def _bits(x) -> int:
+    """The size of a field element: the bit length of its largest numerator or its denominator."""
+    return max(max(map(abs, x.num)), x.den).bit_length()
+
+
 def _bounded(x):
     """x, or a ParseError when a numerator or the denominator passes MAX_VALUE_BITS."""
-    if max(max(map(abs, x.num)), x.den).bit_length() > MAX_VALUE_BITS:
+    if _bits(x) > MAX_VALUE_BITS:
         raise ParseError(f"a value in the expression exceeds {MAX_VALUE_BITS} bits")
     return x
 
@@ -216,7 +228,15 @@ class TorusDocument:
     multiplications: tuple[tuple[tuple[tuple[str, str], tuple[str, str]], int], ...]
 
     def field(self) -> NumberField:
-        return NumberField(self.generators)
+        """The declared field; a basis not certified independent is refused.
+
+        Every result over a field with a dependent monomial basis could be
+        wrong, so parsing and realizing both stop here first
+        (UncertifiedBasis, exit code 2).
+        """
+        field = NumberField(self.generators)
+        certify_independence(field)
+        return field
 
     def realize(self):
         """Build the torus and attach every declared multiplication."""
@@ -328,11 +348,13 @@ def parse_input(text: str) -> TorusDocument:
         mults.append((d_exprs, d))
     document = TorusDocument(generators=tuple(gens), period_exprs=period_exprs,
                              multiplications=tuple(mults))
-    # surface expression errors (bad names, floats) at parse time
+    # surface expression errors (bad names, floats, oversized periods) at parse time
     field = document.field()
-    for row in document.period_exprs:
-        for e in row:
-            parse_expression(e, field)
+    period_bits = sum(_bits(parse_expression(e, field))
+                      for row in document.period_exprs for e in row)
+    if period_bits > MAX_PERIOD_BITS:
+        raise ParseError(f"the period entries total {period_bits} bits; "
+                         f"at most {MAX_PERIOD_BITS} are allowed")
     for d_exprs, _ in document.multiplications:
         for row in d_exprs:
             for e in row:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 from .errors import (
     BoundTooLarge,
@@ -32,7 +32,14 @@ from .errors import (
     UnrecognizedStructure,
     invariant,
 )
-from .exactfield import _count_real_roots, eliminate, exact_sign, squarefree_decomposition
+from .exactfield import (
+    _count_real_roots,
+    eliminate,
+    exact_sign,
+    integer_roots,
+    monic_integer,
+    squarefree_decomposition,
+)
 from .linalg import (
     Mat,
     clear_denominators,
@@ -230,13 +237,39 @@ def _center_coords(ring: EndoRing):
 
 
 def _is_irreducible(coeffs) -> bool:
-    import sympy  # here, not at module level: only the CM-quartic branch needs it
+    """Whether a monic rational quartic (constant-first) is irreducible over Q.
 
-    x = sympy.Symbol("x")
-    poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
-                       for c in reversed(coeffs)], x)
-    factors = poly.factor_list()[1]
-    return len(factors) == 1 and factors[0][1] == 1
+    Scaled to a monic integer quartic q (`monic_integer`), it is reducible
+    exactly when it has an integer root or, by Gauss's lemma, a monic
+    integer quadratic factor.  A factorization
+    q = (y^2 + a y + b)(y^2 + c y + e) makes b + e an integer root of the
+    resolvent cubic, whose roots are the sums r1 r2 + r3 r4 of paired
+    roots; then b, e are the roots of z^2 - (b + e) z + c0, a, c those of
+    z^2 - c3 z + c2 - (b + e), and a e + b c = c1 picks the pairing.
+    """
+    q = monic_integer(coeffs)
+    if integer_roots(q):
+        return False
+    c0, c1, c2, c3, _ = q
+    resolvent = (4 * c0 * c2 - c0 * c3 * c3 - c1 * c1, c1 * c3 - 4 * c0, -c2, 1)
+    for theta in integer_roots(resolvent):
+        be = _integer_quadratic_roots(theta, c0)
+        ac = _integer_quadratic_roots(c3, c2 - theta)
+        if be is None or ac is None:
+            continue
+        b, e = be
+        if any(a * e + b * c == c1 for a, c in (ac, ac[::-1])):
+            return False
+    return True
+
+
+def _integer_quadratic_roots(s: int, p: int):
+    """The integer roots (z1, z2) of z^2 - s z + p, or None when they are not integers."""
+    disc = s * s - 4 * p
+    r = isqrt(disc) if disc >= 0 else -1
+    if r * r != disc:
+        return None
+    return (s - r) // 2, (s + r) // 2  # s^2 - r^2 = 4p: s and r have one parity
 
 
 def _real_root_count(coeffs) -> int:

@@ -46,8 +46,22 @@ class IncompatibleGenerators(TorusLabError):
 
 
 class IndependenceSuspect(TorusLabError):
-    """The numeric screen found a small integer relation between
-    elements that were declared linearly independent."""
+    """Q-linear independence of a field's monomial basis is in doubt.
+
+    Independence is certified exactly (`exactfield.certify_independence`);
+    the subclass UncertifiedBasis names the generator the certificate
+    refused and why.
+    """
+
+
+class UncertifiedBasis(IndependenceSuspect):
+    """The independence certificate refused a field at one generator."""
+
+    def __init__(self, generator: str, reason: str):
+        super().__init__(f"generator {generator!r}: {reason}; the monomial basis "
+                         "is not certified Q-linearly independent")
+        self.generator = generator
+        self.reason = reason
 
 
 # ---- torus construction ----------------------------------------------------

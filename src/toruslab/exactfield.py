@@ -9,10 +9,18 @@ field builds once an integer multiplication table over one denominator,
 so products run on ints only.  Sums of products (matrix products,
 hermitian values) go through one fused kernel, `dot`, which accumulates
 every product over one common denominator and normalizes once; the
-monomial boxes behind `embed` are cached per (field, width).  Q-linear
-independence of the monomial basis is *declared* by the caller; the
-library screens it numerically (`find_small_relation`) but never proves
-it.
+monomial boxes behind `embed` are cached per (field, width).  Division
+solves the integer multiplication-by-b system fraction-free (Bareiss),
+through the integer path of the one elimination kernel, `eliminate`.
+
+Q-linear independence of the monomial basis is *certified*, once per
+field, by `certify_independence`: every minimal polynomial is
+irreducible (a quadratic by its discriminant, a cubic by the rational
+root test), the quadratic generators' discriminants are independent in
+Q*/Q*^2 (Kummer theory; Besicovitch 1940), and the odd-degree generators
+have pairwise coprime degrees.  Any other field is refused with a typed
+error.  `find_small_relation` remains as a numeric screen for tests and
+callers; no construction path uses it.
 
 Conventions:
 
@@ -46,6 +54,7 @@ from .errors import (
     NotRational,
     NotReal,
     PrecisionExhausted,
+    UncertifiedBasis,
     ValidationError,
 )
 
@@ -197,18 +206,66 @@ def _count_real_roots(coeffs, lo: Fraction, hi: Fraction) -> int:
     positive degree; repeated factors are allowed, since the Sturm chain
     then ends in their gcd and still counts each root once.
     """
+    chain = _sturm_chain(coeffs)
+    return _sign_changes(chain, lo) - _sign_changes(chain, hi)
+
+
+def _sturm_chain(coeffs) -> list:
     chain = [coeffs, _poly_deriv(coeffs)]
     while len(chain[-1]) > 1:
         r = _poly_rem(chain[-2], chain[-1])
         if not r:
             break
         chain.append([-c for c in r])
+    return chain
 
-    def sign_changes(x):
-        signs = [s for s in (_sign(_poly_eval(p, x)) for p in chain) if s]
-        return sum(u != v for u, v in zip(signs, signs[1:]))
 
-    return sign_changes(lo) - sign_changes(hi)
+def _sign_changes(chain, x) -> int:
+    signs = [s for s in (_sign(_poly_eval(p, x)) for p in chain) if s]
+    return sum(u != v for u, v in zip(signs, signs[1:]))
+
+
+def monic_integer(coeffs) -> tuple[int, ...]:
+    """q(y) = D^n p(y / D), monic with integer coefficients, for a monic rational p.
+
+    D is the lcm of the coefficient denominators, so every D^(n-k) c_k
+    is an integer; the roots of p are the roots of q divided by D, so p
+    has a rational root exactly when q has an integer one.
+    """
+    n = len(coeffs) - 1
+    den = math.lcm(*(Fraction(c).denominator for c in coeffs))
+    return tuple(int(Fraction(c) * den ** (n - k)) for k, c in enumerate(coeffs))
+
+
+def integer_roots(q) -> list[int]:
+    """The distinct integer roots of a monic integer polynomial, ascending.
+
+    A rational root of a monic integer polynomial is an integer, so no
+    half-integer is a root: Sturm counts at half-integers bisect the
+    Cauchy range (-B, B), and an interval (k - 1/2, k + 1/2) that holds a
+    root holds the candidate k.  The constant term is never factored, so
+    the cost grows with the coefficients' bit length only.
+    """
+    chain = _sturm_chain([Fraction(c) for c in q])
+    bound = 1 + max(abs(c) for c in q[:-1])
+
+    def changes(j):  # sign changes at j + 1/2
+        return _sign_changes(chain, Fraction(2 * j + 1, 2))
+
+    roots = []
+    stack = [(-bound - 1, bound, changes(-bound - 1), changes(bound))]
+    while stack:
+        lo, hi, v_lo, v_hi = stack.pop()
+        if v_lo == v_hi:
+            continue
+        if hi - lo == 1:
+            if _poly_eval(q, hi) == 0:
+                roots.append(hi)
+            continue
+        mid = (lo + hi) // 2
+        v_mid = changes(mid)
+        stack += [(lo, mid, v_lo, v_mid), (mid, hi, v_mid, v_hi)]
+    return sorted(roots)
 
 
 def _refine_real_root(coeffs, lo: Fraction, hi: Fraction, target: Fraction):
@@ -435,9 +492,10 @@ class _FieldData:
     """Basis data; basis_a * basis_b = sum(n * basis_k for k, n in table[a][b]) / table_den."""
 
     __slots__ = ("gens", "degs", "exps", "index", "size", "conj_sign", "table", "table_den",
-                 "i_row")
+                 "i_row", "refusal")
 
     def __init__(self, field: NumberField):
+        self.refusal = None  # set by certify_independence: () or (generator, reason)
         self.gens = field.generators
         self.degs = tuple(g.degree for g in self.gens)
         self.exps = tuple(itertools.product(*[range(d) for d in self.degs]))
@@ -797,13 +855,21 @@ def _field_div(a: FieldElement, b: FieldElement) -> FieldElement:
         for k in range(n):
             for idx, r in row[k]:
                 cols[k][idx] += cb * r
-    aug = [[Fraction(cols[k][r]) for k in range(n)] + [Fraction(a.num[r])] for r in range(n)]
-    pivots, _ = eliminate(aug)
+    # solve cols * x = a.num fraction-free; y = det * x is integral by Cramer's rule
+    aug = [[cols[k][r] for k in range(n)] + [a.num[r]] for r in range(n)]
+    pivots, det = eliminate(aug)
     if pivots != list(range(n)):
         raise NotInvertible(
             "division matrix is singular; declared independence is violated")
-    scale = Fraction(b.den * data.table_den, a.den)
-    return FieldElement(a.field, [row[n] * scale for row in aug])
+    y = [0] * n
+    for k in range(n - 1, -1, -1):
+        row = aug[k]
+        y[k] = (det * row[n] - sum(row[j] * y[j] for j in range(k + 1, n))) // row[k]
+    # a / b = x * b.den * table_den / a.den
+    scale = b.den * data.table_den
+    if det < 0:
+        det, scale = -det, -scale
+    return FieldElement(a.field, [v * scale for v in y], det * a.den)
 
 
 # ---------------------------------------------------------------------------
@@ -813,23 +879,34 @@ def _field_div(a: FieldElement, b: FieldElement) -> FieldElement:
 def eliminate(rows, reduced: bool = True):
     """Gaussian elimination in place; returns (pivot columns, signed pivot product).
 
-    ``rows`` is a list of lists whose entries are all Fractions or all
-    FieldElements of one field; a zero entry is falsy.  The pivot of each
-    column is the first nonzero entry at or below the current row, so the
-    result is deterministic.  With ``reduced`` the rows end in reduced row
-    echelon form (pivots 1, zeros above and below).  Without it only the
-    forward pass runs: no pivot is normalized and nothing above a pivot is
-    cleared, which is all a determinant needs.
+    ``rows`` is a list of lists whose entries are all ints, all Fractions
+    or all FieldElements of one field; a zero entry is falsy.  The pivot
+    of each column is the first nonzero entry at or below the current
+    row, so the result is deterministic.  With ``reduced`` the rows end in
+    reduced row echelon form (pivots 1, zeros above and below).  Without
+    it only the forward pass runs: no pivot is normalized and nothing
+    above a pivot is cleared, which is all a determinant needs.
 
     The second value is the product of the pivots, negated once per row
     swap, or None when there is no pivot.  For a square matrix it is the
     determinant exactly when every column has a pivot; with fewer pivots
     the matrix is singular.
+
+    Integer rows take the fraction-free (Bareiss) path, whatever
+    ``reduced`` says: only the forward pass runs, and each step sets
+    x <- (p * x - f * y) // prev for the pivot p, the row's entry f, the
+    pivot row's entry y and the previous pivot, a division that is always
+    exact.  Every entry stays an integer minor of the input, so the rows
+    end in a fraction-free echelon form, and the second value is the last
+    pivot, negated once per row swap: the determinant again when a square
+    matrix has a pivot in every column.
     """
     m = len(rows)
     ncols = len(rows[0]) if rows else 0
+    fraction_free = ncols > 0 and type(rows[0][0]) is int
     pivots = []
     det = None
+    prev = 1
     negate = False
     r = 0
     for c in range(ncols):
@@ -843,24 +920,33 @@ def eliminate(rows, reduced: bool = True):
             negate = not negate
         prow = rows[r]
         piv = prow[c]
-        det = piv if det is None else det * piv
-        if reduced:
-            inv = 1 / piv
-            prow[c:] = [v * inv if v else v for v in prow[c:]]
-            targets = [k for k in range(m) if k != r and rows[k][c]]
-        else:
-            targets = [k for k in range(r + 1, m) if rows[k][c]]
-            if targets:
-                inv = 1 / piv
-        if targets:
-            zero = piv - piv
+        if fraction_free:
             tail = prow[c + 1:]
-            for k in targets:
+            for k in range(r + 1, m):
                 row = rows[k]
-                f = row[c] if reduced else row[c] * inv
-                row[c] = zero
-                row[c + 1:] = [v - f * w if w else v
-                               for v, w in zip(row[c + 1:], tail)]
+                f = row[c]
+                row[c] = 0
+                row[c + 1:] = [(piv * v - f * w) // prev for v, w in zip(row[c + 1:], tail)]
+            det = prev = piv
+        else:
+            det = piv if det is None else det * piv
+            if reduced:
+                inv = 1 / piv
+                prow[c:] = [v * inv if v else v for v in prow[c:]]
+                targets = [k for k in range(m) if k != r and rows[k][c]]
+            else:
+                targets = [k for k in range(r + 1, m) if rows[k][c]]
+                if targets:
+                    inv = 1 / piv
+            if targets:
+                zero = piv - piv
+                tail = prow[c + 1:]
+                for k in targets:
+                    row = rows[k]
+                    f = row[c] if reduced else row[c] * inv
+                    row[c] = zero
+                    row[c + 1:] = [v - f * w if w else v
+                                   for v, w in zip(row[c + 1:], tail)]
         pivots.append(c)
         r += 1
     if negate:
@@ -965,9 +1051,20 @@ def squarefree_decomposition(n: int) -> tuple[int, int, bool]:
     cofactor.  The flag reports whether n0 is certified squarefree;
     larger hidden square factors are left in place.
     """
+    k, odd, certified = _square_class(n)
+    return k, math.prod(odd), certified
+
+
+def _square_class(n: int) -> tuple[int, list[int], bool]:
+    """n = k^2 * prod(odd) for n > 0, with ``odd`` the primes of odd exponent.
+
+    When the flag is False the last entry of ``odd`` is a cofactor above
+    10^12 with no prime factor up to 10^6 that trial division could not
+    split, so it may hide a square.
+    """
     if n <= 0:
         raise ValueError("need a positive integer")
-    k, n0 = 1, 1
+    k, odd = 1, []
     rest = n
     p = 2
     while p * p <= rest and p <= 10 ** 6:
@@ -978,17 +1075,16 @@ def squarefree_decomposition(n: int) -> tuple[int, int, bool]:
                 e += 1
             k *= p ** (e // 2)
             if e % 2:
-                n0 *= p
+                odd.append(p)
         p += 1 if p == 2 else 2
     if rest > 1:
         r = math.isqrt(rest)
         if r * r == rest:
             k *= r
         else:
-            certified = rest <= 10 ** 12
-            n0 *= rest
-            return k, n0, certified
-    return k, n0, True
+            odd.append(rest)
+            return k, odd, rest <= 10 ** 12
+    return k, odd, True
 
 
 def is_perfect_square(n: int) -> bool:
@@ -1032,6 +1128,76 @@ def sqrt_element(field: NumberField, n: int) -> tuple[NumberField, FieldElement]
 
 
 # ---------------------------------------------------------------------------
+# independence certificate
+# ---------------------------------------------------------------------------
+
+def certify_independence(field: NumberField) -> None:
+    """Prove the monomial basis of ``field`` Q-linearly independent, or refuse.
+
+    The basis is independent exactly when the field generated by the
+    declared roots has the product of the generator degrees as its
+    degree.  That is certified in three parts:
+
+    * every minimal polynomial is irreducible: a quadratic's
+      discriminant is not a rational square, a cubic has no rational
+      root;
+    * the quadratic generators (``i`` among them) have discriminants
+      independent in Q*/Q*^2, so by Kummer theory (Besicovitch 1940)
+      they span a field of degree 2^k; this is a GF(2) rank over the sign
+      and the prime-exponent parities;
+    * the odd-degree generators have pairwise coprime degrees, hence
+      coprime to 2^k too, so the degrees multiply.
+
+    Any other field (a generator of degree 4 or more, a discriminant
+    whose factorization is not certified, a failed test) is refused
+    with UncertifiedBasis, which names the generator and the reason.
+    The verdict is computed once per field and kept with its tables.
+    """
+    data = _field_data(field)
+    if data.refusal is None:
+        data.refusal = _independence_refusal(field.generators) or ()
+    if data.refusal:
+        raise UncertifiedBasis(*data.refusal)
+
+
+def _independence_refusal(gens) -> tuple[str, str] | None:
+    """(generator name, reason) for the first failed test, or None."""
+    odd = []
+    # GF(2) basis of Q*/Q*^2 by pivot: (coordinates, generators combined into it)
+    basis: dict[int, tuple[frozenset, frozenset]] = {}
+    for g in gens:
+        p = g.min_poly
+        if g.degree == 3:
+            if integer_roots(monic_integer(p)):
+                return g.name, "the cubic min_poly has a rational root"
+            odd.append(g)
+            continue
+        if g.degree != 2:
+            return g.name, f"a generator of degree {g.degree} has no certificate"
+        disc = p[1] * p[1] - 4 * p[0]
+        if is_perfect_square(disc.numerator) and is_perfect_square(disc.denominator):
+            return g.name, f"the discriminant {frac_str(disc)} is a rational square"
+        # the square class of n/d is that of n*d: -1 and the primes of odd exponent
+        n = disc.numerator * disc.denominator
+        _, primes, certified = _square_class(abs(n))
+        if not certified:
+            return g.name, "the factorization of the discriminant is not certified"
+        vec = frozenset(primes) | ({-1} if n < 0 else frozenset())
+        names = frozenset()
+        while vec and max(vec) in basis:
+            other, other_names = basis[max(vec)]
+            vec, names = vec ^ other, names ^ other_names
+        if not vec:
+            return g.name, ("its discriminant is a square times the product of those "
+                            f"of {', '.join(sorted(names))}")
+        basis[max(vec)] = (vec, names | {g.name})
+    for a, b in itertools.combinations(odd, 2):
+        if math.gcd(a.degree, b.degree) != 1:
+            return b.name, f"its degree is not coprime to that of {a.name}"
+    return None
+
+
+# ---------------------------------------------------------------------------
 # numeric independence screen
 # ---------------------------------------------------------------------------
 
@@ -1042,7 +1208,8 @@ def find_small_relation(elements, height: int = 10, precision_bits: int = 128):
     first nonzero entry positive) whose combination embeds into a box
     containing 0 at the requested precision, or None.  A returned vector
     is a *suspicion*, not a proof of dependence; None is a sanity screen,
-    not a proof of independence.
+    not a proof of independence.  It tries (2 * height + 1)^n vectors, so
+    no construction path calls it: `certify_independence` is the proof.
     """
     elements = list(elements)
     if not elements:

@@ -30,14 +30,13 @@ from .endo import (
 from .errors import (
     DegenerateLattice,
     GenerationFailed,
-    IndependenceSuspect,
     PerfectSquare,
     SquareProduct,
 )
 from .exactfield import (
     GeneratorSpec,
     NumberField,
-    find_small_relation,
+    certify_independence,
     is_perfect_square,
     sqrt_element,
     squarefree_decomposition,
@@ -119,8 +118,10 @@ class VerificationReport:
 def example1(m: int, r_spec: GeneratorSpec | None = None):
     """Lattice with End isomorphic to Z[sqrt(-m)], from a real parameter r.
 
-    Requires 1, r*sqrt(m), r^2 to be linearly independent over Q; this is
-    declared by the caller's choice of r and screened numerically.
+    Requires 1, r*sqrt(m), r^2 to be linearly independent over Q.  The
+    field's monomial basis is certified independent
+    (`certify_independence`, an UncertifiedBasis error otherwise), and the
+    three are distinct basis monomials, hence independent.
     """
     if m < 1:
         raise ValueError("m must be a positive integer")
@@ -128,13 +129,9 @@ def example1(m: int, r_spec: GeneratorSpec | None = None):
         r_spec = DEFAULT_R_SPEC
     field = NumberField((r_spec,))
     field, mu = sqrt_element(field, -m)
-    field, sqrt_m = sqrt_element(field, m)
+    field, _ = sqrt_element(field, m)
+    certify_independence(field)
     r = field.gen(r_spec.name)
-    relation = find_small_relation([field.one(), r * sqrt_m, r * r],
-                                   height=10, precision_bits=128)
-    if relation is not None:
-        raise IndependenceSuspect(
-            f"integer relation {relation} found between 1, r*sqrt(m), r^2")
     i = field.i()
     one = field.one()
     row1 = [one, one + r * i, mu, mu * (one + r * i)]
