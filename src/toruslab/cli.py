@@ -55,9 +55,11 @@ MAX_LITERAL_DIGITS = 1000
 MAX_VALUE_BITS = 4096
 #: the largest sum, over the eight period entries, of each entry's size
 #: in bits (its largest numerator or its denominator).  Reported values
-#: (NS forms, lattice actions) are quotients of products of several
-#: entries, so they grow to a few times the largest entry; with one
-#: entry of 2^4000, `ns` printed integers past Python's 4300-digit limit
+#: (NS forms, lattice actions) are quotients of products of entries: `ns`
+#: prints integers of up to five times this sum when it sits in one entry
+#: such as 1/(P + Q*i), and 5 * 1024 bits are 1542 digits, a third of
+#: Python's 4300-digit int-to-str limit; the rest is headroom for the
+#: commands that do not finish on such entries (endo's Hermite form)
 MAX_PERIOD_BITS = 1024
 
 

@@ -10,8 +10,9 @@ so products run on ints only.  Sums of products (matrix products,
 hermitian values) go through one fused kernel, `dot`, which accumulates
 every product over one common denominator and normalizes once; the
 monomial boxes behind `embed` are cached per (field, width).  Division
-solves the integer multiplication-by-b system fraction-free (Bareiss),
-through the integer path of the one elimination kernel, `eliminate`.
+solves the integer multiplication-by-b system fraction-free, by
+`_bareiss`, which shares its pivot rule with the Fraction and field
+elimination kernel, `eliminate`.
 
 Q-linear independence of the monomial basis is *certified*, once per
 field, by `certify_independence`: every minimal polynomial is
@@ -857,7 +858,7 @@ def _field_div(a: FieldElement, b: FieldElement) -> FieldElement:
                 cols[k][idx] += cb * r
     # solve cols * x = a.num fraction-free; y = det * x is integral by Cramer's rule
     aug = [[cols[k][r] for k in range(n)] + [a.num[r]] for r in range(n)]
-    pivots, det = eliminate(aug)
+    pivots, det = _bareiss(aug)
     if pivots != list(range(n)):
         raise NotInvertible(
             "division matrix is singular; declared independence is violated")
@@ -876,79 +877,106 @@ def _field_div(a: FieldElement, b: FieldElement) -> FieldElement:
 # exact Gaussian elimination
 # ---------------------------------------------------------------------------
 
-def eliminate(rows, reduced: bool = True):
-    """Gaussian elimination in place; returns (pivot columns, signed pivot product).
+def _pivot_walk(rows):
+    """Yield (row, column, swapped) for each pivot of a forward elimination.
 
-    ``rows`` is a list of lists whose entries are all ints, all Fractions
-    or all FieldElements of one field; a zero entry is falsy.  The pivot
-    of each column is the first nonzero entry at or below the current
-    row, so the result is deterministic.  With ``reduced`` the rows end in
-    reduced row echelon form (pivots 1, zeros above and below).  Without
-    it only the forward pass runs: no pivot is normalized and nothing
-    above a pivot is cleared, which is all a determinant needs.
-
-    The second value is the product of the pivots, negated once per row
-    swap, or None when there is no pivot.  For a square matrix it is the
-    determinant exactly when every column has a pivot; with fewer pivots
-    the matrix is singular.
-
-    Integer rows take the fraction-free (Bareiss) path, whatever
-    ``reduced`` says: only the forward pass runs, and each step sets
-    x <- (p * x - f * y) // prev for the pivot p, the row's entry f, the
-    pivot row's entry y and the previous pivot, a division that is always
-    exact.  Every entry stays an integer minor of the input, so the rows
-    end in a fraction-free echelon form, and the second value is the last
-    pivot, negated once per row swap: the determinant again when a square
-    matrix has a pivot in every column.
+    The pivot of a column is its first nonzero entry at or below the
+    current row, swapped up into that row before the yield, so the result
+    is deterministic.  The caller clears the pivot's column before
+    resuming, and the next search sees the updated rows.
     """
     m = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    fraction_free = ncols > 0 and type(rows[0][0]) is int
-    pivots = []
-    det = None
-    prev = 1
-    negate = False
     r = 0
-    for c in range(ncols):
+    for c in range(len(rows[0]) if rows else 0):
         if r == m:
-            break
+            return
         p = next((k for k in range(r, m) if rows[k][c]), None)
         if p is None:
             continue
         if p != r:
             rows[r], rows[p] = rows[p], rows[r]
-            negate = not negate
+        yield r, c, p != r
+        r += 1
+
+
+def eliminate(rows, reduced: bool = True):
+    """Gaussian elimination in place; returns (pivot columns, signed pivot product).
+
+    ``rows`` is a list of lists whose entries are all Fractions or all
+    FieldElements of one field; a zero entry is falsy.  Pivots are chosen
+    by `_pivot_walk`.  With ``reduced`` the rows end in reduced row
+    echelon form (pivots 1, zeros above and below).  Without it only the
+    forward pass runs: no pivot is normalized and nothing above a pivot is
+    cleared, which is all a determinant needs.
+
+    The second value is the product of the pivots, negated once per row
+    swap, or None when there is no pivot.  For a square matrix it is the
+    determinant exactly when every column has a pivot; with fewer pivots
+    the matrix is singular.
+    """
+    m = len(rows)
+    pivots = []
+    det = None
+    negate = False
+    for r, c, swapped in _pivot_walk(rows):
+        negate ^= swapped
         prow = rows[r]
         piv = prow[c]
-        if fraction_free:
-            tail = prow[c + 1:]
-            for k in range(r + 1, m):
-                row = rows[k]
-                f = row[c]
-                row[c] = 0
-                row[c + 1:] = [(piv * v - f * w) // prev for v, w in zip(row[c + 1:], tail)]
-            det = prev = piv
+        det = piv if det is None else det * piv
+        if reduced:
+            inv = 1 / piv
+            prow[c:] = [v * inv if v else v for v in prow[c:]]
+            targets = [k for k in range(m) if k != r and rows[k][c]]
         else:
-            det = piv if det is None else det * piv
-            if reduced:
-                inv = 1 / piv
-                prow[c:] = [v * inv if v else v for v in prow[c:]]
-                targets = [k for k in range(m) if k != r and rows[k][c]]
-            else:
-                targets = [k for k in range(r + 1, m) if rows[k][c]]
-                if targets:
-                    inv = 1 / piv
+            targets = [k for k in range(r + 1, m) if rows[k][c]]
             if targets:
-                zero = piv - piv
-                tail = prow[c + 1:]
-                for k in targets:
-                    row = rows[k]
-                    f = row[c] if reduced else row[c] * inv
-                    row[c] = zero
-                    row[c + 1:] = [v - f * w if w else v
-                                   for v, w in zip(row[c + 1:], tail)]
+                inv = 1 / piv
+        if targets:
+            zero = piv - piv
+            tail = prow[c + 1:]
+            for k in targets:
+                row = rows[k]
+                f = row[c] if reduced else row[c] * inv
+                row[c] = zero
+                row[c + 1:] = [v - f * w if w else v
+                               for v, w in zip(row[c + 1:], tail)]
         pivots.append(c)
-        r += 1
+    if negate:
+        det = -det
+    return pivots, det
+
+
+def _bareiss(rows):
+    """Fraction-free forward elimination of integer rows in place (Bareiss).
+
+    Returns (pivot columns, signed last pivot).  Pivots are chosen by
+    `_pivot_walk`, as in `eliminate`.  Each step sets
+    x <- (p * x - f * y) // prev for the pivot p, the row's entry f, the
+    pivot row's entry y and the previous pivot, a division that is always
+    exact: every entry stays an integer minor of the input.  The rows end
+    in a fraction-free echelon form; nothing above a pivot is cleared.
+
+    The second value is the last pivot, negated once per row swap, or
+    None when there is no pivot.  For a square matrix it is the
+    determinant exactly when every column has a pivot.
+    """
+    m = len(rows)
+    pivots = []
+    det = None
+    prev = 1
+    negate = False
+    for r, c, swapped in _pivot_walk(rows):
+        negate ^= swapped
+        prow = rows[r]
+        piv = prow[c]
+        tail = prow[c + 1:]
+        for k in range(r + 1, m):
+            row = rows[k]
+            f = row[c]
+            row[c] = 0
+            row[c + 1:] = [(piv * v - f * w) // prev for v, w in zip(row[c + 1:], tail)]
+        det = prev = piv
+        pivots.append(c)
     if negate:
         det = -det
     return pivots, det

@@ -32,6 +32,7 @@ from .errors import (
     GenerationFailed,
     PerfectSquare,
     SquareProduct,
+    UncertifiedBasis,
 )
 from .exactfield import (
     GeneratorSpec,
@@ -118,15 +119,20 @@ class VerificationReport:
 def example1(m: int, r_spec: GeneratorSpec | None = None):
     """Lattice with End isomorphic to Z[sqrt(-m)], from a real parameter r.
 
-    Requires 1, r*sqrt(m), r^2 to be linearly independent over Q.  The
-    field's monomial basis is certified independent
-    (`certify_independence`, an UncertifiedBasis error otherwise), and the
-    three are distinct basis monomials, hence independent.
+    Requires 1, r*sqrt(m), r^2 to be linearly independent over Q.  r must
+    be a cubic generator and the field's monomial basis is certified
+    independent (`certify_independence`); either failure raises
+    UncertifiedBasis.  Then 1, r^2 and r*sqrt(m) are rational multiples of
+    distinct basis monomials, hence independent.  A quadratic r is refused
+    because its r^2 is rational.
     """
     if m < 1:
         raise ValueError("m must be a positive integer")
     if r_spec is None:
         r_spec = DEFAULT_R_SPEC
+    if r_spec.degree != 3:
+        raise UncertifiedBasis(r_spec.name, f"r has degree {r_spec.degree}, and only "
+                               "for a cubic r is r^2 a basis monomial")
     field = NumberField((r_spec,))
     field, mu = sqrt_element(field, -m)
     field, _ = sqrt_element(field, m)

@@ -1,5 +1,5 @@
-"""Field division through the fraction-free (Bareiss) integer path of
-`eliminate`, against the Fraction product reference of test_field_layout.
+"""Field division through the fraction-free (Bareiss) integer elimination,
+`_bareiss`, against the Fraction product reference of test_field_layout.
 
 The reference `ref_mul` reduces a schoolbook product modulo each minimal
 polynomial in Fraction arithmetic, so a quotient q of a by b is checked
@@ -20,6 +20,7 @@ from toruslab.exactfield import (
     FieldElement,
     GeneratorSpec,
     NumberField,
+    _bareiss,
     eliminate,
 )
 
@@ -28,16 +29,25 @@ from test_field_layout import DEG8, DEG12, check_layout, coeff_vectors, ref_mul
 
 @contextlib.contextmanager
 def integer_path():
-    """Records the entry types of every elimination that division runs."""
-    seen = []
-    kernel = exactfield.eliminate
+    """Records the entry types of every elimination that division runs.
 
-    def spy(rows, reduced=True):
+    A `_bareiss` call records its set of entry types, an `eliminate`
+    call the string "eliminate".
+    """
+    seen = []
+    bareiss = exactfield._bareiss
+
+    def spy(rows):
         seen.append({type(v) for row in rows for v in row})
-        return kernel(rows, reduced)
+        return bareiss(rows)
+
+    def other(rows, reduced=True):
+        seen.append("eliminate")
+        return eliminate(rows, reduced)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(exactfield, "eliminate", spy)
+        mp.setattr(exactfield, "_bareiss", spy)
+        mp.setattr(exactfield, "eliminate", other)
         yield seen
 
 
@@ -69,7 +79,7 @@ def test_division_matches_fraction_reference(field, data):
     assert ref_mul(field, quot.coeffs, cb) == ca
     check_layout(inv)
     assert ref_mul(field, inv.coeffs, cb) == (F(1),) + (F(0),) * (field.degree - 1)
-    # both went through the integer path: no Fraction entered the kernel
+    # both went through the integer path: no Fraction entered an elimination
     assert seen == [{int}, {int}]
 
 
@@ -117,7 +127,7 @@ def test_integer_path_matches_fraction_path(data):
         k = data.draw(st.integers(-3, 3))
         rows[-1] = [x + k * y for x, y in zip(rows[0], rows[1])]
     ints = [row[:] for row in rows]
-    int_pivots, int_last = eliminate(ints)
+    int_pivots, int_last = _bareiss(ints)
     fracs = [[F(v) for v in row] for row in rows]
     frac_pivots, _ = eliminate(fracs)
     assert int_pivots == frac_pivots
@@ -130,7 +140,7 @@ def test_integer_path_matches_fraction_path(data):
     eliminate(again)
     assert again == fracs[:rank]
     square = [row[:n] for row in rows]
-    pivots, det = eliminate([row[:] for row in square])
+    pivots, det = _bareiss([row[:] for row in square])
     assert (det if len(pivots) == n else 0) == _fraction_det(square)
     if rank:
         assert int_last != 0

@@ -8,6 +8,9 @@ quartic test is checked against sympy's factorization.
 
 import dataclasses
 import json
+import math
+import random
+import re
 import time
 from fractions import Fraction as F
 
@@ -203,6 +206,22 @@ def test_example1_refuses_a_dependent_parameter():
     assert info.value.generator == "t"
 
 
+def test_example1_refuses_a_quadratic_parameter():
+    # Q(r, i, sqrt2) with r = sqrt3 is certified, yet r^2 = 3 is rational
+    r_spec = dataclasses.replace(SQRT3, name="r")
+    field = NumberField((r_spec,))
+    field, _ = sqrt_element(field, -2)
+    field, sqrt_m = sqrt_element(field, 2)
+    certify_independence(field)
+    r = field.gen("r")
+    screen_finds([field.one(), r * sqrt_m, r * r])
+    with pytest.raises(IndependenceSuspect) as info:
+        example1(2, r_spec)
+    assert info.value.generator == "r"
+    with pytest.raises(UncertifiedBasis):
+        example1(3, dataclasses.replace(QUARTIC, name="r"))
+
+
 def test_no_construction_path_runs_the_screen(monkeypatch):
     def screen(*args, **kwargs):
         pytest.fail("find_small_relation called while building a torus")
@@ -351,6 +370,28 @@ def test_period_within_the_total_bound_is_built():
     doc["period"][1][3] = "2^100*r"  # each entry within MAX_VALUE_BITS, the sum is not
     with pytest.raises(cli.ParseError):
         parse_input(json.dumps(doc))
+
+
+def test_commands_on_a_period_at_the_total_bound_print_exactly(tmp_path, capsys):
+    doc = json.loads((TORI / "example1_m1.json").read_text())
+    doc["multiplications"] = []
+    rng = random.Random(15)
+    p, q = (rng.getrandbits(504) | 1 << 504 for _ in range(2))
+    doc["period"][0][2] = f"1/({p} + {q}*i)"  # denominator p^2 + q^2, 1009 bits
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps(doc))
+    document = parse_input(path.read_text())
+    field = document.field()
+    period_bits = sum(cli._bits(cli.parse_expression(e, field))
+                      for row in document.period_exprs for e in row)
+    assert 1000 < period_bits <= cli.MAX_PERIOD_BITS
+    for cmd in ("ns", "polarize", "verify-cor"):
+        assert run_command([cmd, str(path), "--json"]) == 0, cmd
+        out = capsys.readouterr().out
+        digits = max(map(len, re.findall(r"\d+", out)))
+        if cmd == "ns":  # the largest growth measured: five times the period's bits
+            assert digits * math.log2(10) > 4.5 * period_bits
+        assert digits < 4300
 
 
 def test_sqrt_element_fields_are_certified_until_a_product_is_adjoined():
