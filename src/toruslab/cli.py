@@ -15,12 +15,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
-from . import papercheck
-from .endo import classify_algebra, compute_endo_ring
 from .errors import (
     ParseError,
     PrecisionExhausted,
@@ -42,8 +40,11 @@ from .exactfield import (
     sqrt_element,
 )
 from .linalg import Mat
-from .neronseveri import compute_N_D, compute_ns, is_algebraic
+from .record import Record
 from .torus import PeriodMatrix, attach_multiplication, build_torus
+
+# endo, neronseveri and papercheck are imported by the commands that run
+# them: a fresh interpreter then compiles only the layers its command uses
 
 _INTERNAL_ERRORS = (PrecisionExhausted, NotClosed, NotStable, UnrecognizedStructure)
 
@@ -223,11 +224,15 @@ def _parse_atom(toks, field):
 # torus documents
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TorusDocument:
+class TorusDocument(Record):
     generators: tuple[GeneratorSpec, ...]
     period_exprs: tuple[tuple[str, ...], ...]
     multiplications: tuple[tuple[tuple[tuple[str, str], tuple[str, str]], int], ...]
+
+    def __init__(self, generators, period_exprs, multiplications):
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "period_exprs", period_exprs)
+        object.__setattr__(self, "multiplications", multiplications)
 
     def field(self) -> NumberField:
         """The declared field; a basis not certified independent is refused.
@@ -415,6 +420,8 @@ def _mult_index(mults, k: int):
 
 
 def _cmd_endo(doc: TorusDocument, args) -> tuple[dict, int]:
+    from .endo import classify_algebra, compute_endo_ring
+
     torus, _ = doc.realize()
     ring = compute_endo_ring(torus)
     cls = classify_algebra(ring)
@@ -430,6 +437,8 @@ def _cmd_endo(doc: TorusDocument, args) -> tuple[dict, int]:
 
 
 def _cmd_classify(doc: TorusDocument, args) -> tuple[dict, int]:
+    from .endo import classify_algebra, compute_endo_ring
+
     torus, _ = doc.realize()
     cls = classify_algebra(compute_endo_ring(torus))
     return {"claims": [], "witnesses": {
@@ -438,6 +447,8 @@ def _cmd_classify(doc: TorusDocument, args) -> tuple[dict, int]:
 
 
 def _cmd_ns(doc: TorusDocument, args) -> tuple[dict, int]:
+    from .neronseveri import compute_ns
+
     torus, _ = doc.realize()
     ns = compute_ns(torus)
     witnesses = {
@@ -449,6 +460,8 @@ def _cmd_ns(doc: TorusDocument, args) -> tuple[dict, int]:
 
 
 def _cmd_nd(doc: TorusDocument, args) -> tuple[dict, int]:
+    from .neronseveri import compute_N_D, compute_ns
+
     torus, mults = doc.realize()
     mult = _mult_index(mults, args.mult)
     nd = compute_N_D(compute_ns(torus), mult)
@@ -463,6 +476,8 @@ def _cmd_nd(doc: TorusDocument, args) -> tuple[dict, int]:
 
 
 def _cmd_polarize(doc: TorusDocument, args) -> tuple[dict, int]:
+    from .neronseveri import compute_ns, is_algebraic
+
     torus, mults = doc.realize()
     ns = compute_ns(torus)
     verdict = is_algebraic(torus, mults=mults, seed=args.seed, ns=ns)
@@ -471,18 +486,42 @@ def _cmd_polarize(doc: TorusDocument, args) -> tuple[dict, int]:
     approx = {}
     if verdict.status == "algebraic":
         eigs = _approx_eigenvalues(verdict.polarization.herm.M, args.precision)
-        approx["polarization_eigenvalues"] = eigs
+        if eigs is not None:
+            approx["polarization_eigenvalues"] = eigs
     return {"claims": [], "witnesses": witnesses, "approx": approx}, 0
 
 
 def _approx_eigenvalues(m, precision):
-    tr = embed(m[0, 0] + m[1, 1], precision).midpoint().real
-    det = embed(m.det(), precision).midpoint().real
+    """The eigenvalues of the 2x2 hermitian m as floats; None past the float range.
+
+    The trace and determinant (box midpoints, exact) are scaled by 2^-k
+    and 4^-k until their floats cannot overflow, and the eigenvalues by
+    2^k back.  Scaling by a power of two is exact in floating point, and
+    k = 0 wherever the unscaled values already fit.
+    """
+    tr = _midpoint_re(embed(m[0, 0] + m[1, 1], precision))
+    det = _midpoint_re(embed(m.det(), precision))
+    k = max(0, _log2_bound(tr) - 500, (_log2_bound(det) - 999) // 2)
+    tr, det = float(tr / (1 << k)), float(det / (1 << 2 * k))
     disc = max(tr * tr - 4 * det, 0.0) ** 0.5
-    return [(tr - disc) / 2, (tr + disc) / 2]
+    try:
+        return [math.ldexp((tr - disc) / 2, k), math.ldexp((tr + disc) / 2, k)]
+    except OverflowError:
+        return None
+
+
+def _midpoint_re(box) -> Fraction:
+    return (box.re_lo + box.re_hi) / 2
+
+
+def _log2_bound(q: Fraction) -> int:
+    """An integer e with |q| < 2^e."""
+    return q.numerator.bit_length() - q.denominator.bit_length() + 1
 
 
 def _cmd_verify_prop(doc: TorusDocument, args) -> tuple[dict, int]:
+    from . import papercheck
+
     torus, mults = doc.realize()
     mult = _mult_index(mults, args.mult)
     report = papercheck.verify_proposition(torus, mult, seed=args.seed)
@@ -490,12 +529,16 @@ def _cmd_verify_prop(doc: TorusDocument, args) -> tuple[dict, int]:
 
 
 def _cmd_verify_cor(doc: TorusDocument, args) -> tuple[dict, int]:
+    from . import papercheck
+
     torus, mults = doc.realize()
     report = papercheck.verify_corollaries(torus, mults, seed=args.seed)
     return report.to_dict(), (1 if report.refuted() else 0)
 
 
 def _cmd_gen_example(args) -> tuple[dict, int]:
+    from . import papercheck
+
     kind = args.kind
     if kind == "1":
         torus, mult = papercheck.example1(args.m)

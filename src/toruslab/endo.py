@@ -18,7 +18,6 @@ identities are checked on integers.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
@@ -35,7 +34,6 @@ from .errors import (
 from .exactfield import (
     _count_real_roots,
     eliminate,
-    exact_sign,
     integer_roots,
     monic_integer,
     squarefree_decomposition,
@@ -47,22 +45,27 @@ from .linalg import (
     coords_in_rows,
     coords_in_rows_many,
     hnf,
+    is_positive_definite,
     kernel_lattice,
     lattice_points_in_box,
     monomial_rows,
     rational_kernel,
     rref,
 )
+from .record import Record
 from .torus import Torus, lattice_action, lattice_form
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
 
 
-@dataclass(frozen=True)
-class Endomorphism:
+class Endomorphism(Record):
     R: tuple[tuple[int, ...], ...]
     A: Mat
+
+    def __init__(self, R, A):
+        object.__setattr__(self, "R", R)
+        object.__setattr__(self, "A", A)
 
     def vec(self) -> tuple[int, ...]:
         return tuple(v for row in self.R for v in row)
@@ -71,11 +74,15 @@ class Endomorphism:
         return sum(self.R[k][k] for k in range(4))
 
 
-@dataclass(frozen=True)
-class EndoRing:
+class EndoRing(Record):
     torus: Torus
     basis: tuple[Endomorphism, ...]       # first element is the identity
     structure: tuple                      # structure[i][j] = integer coords of b_i b_j
+
+    def __init__(self, torus, basis, structure):
+        object.__setattr__(self, "torus", torus)
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "structure", structure)
 
     @property
     def rank(self) -> int:
@@ -195,10 +202,13 @@ def structure_constants(ring: EndoRing):
 # classification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AlgebraClass:
+class AlgebraClass(Record):
     tag: str
     discriminant_data: tuple[int, ...]
+
+    def __init__(self, tag, discriminant_data):
+        object.__setattr__(self, "tag", tag)
+        object.__setattr__(self, "discriminant_data", discriminant_data)
 
 
 def min_poly_rational_matrix(rows):
@@ -427,11 +437,15 @@ def _element_candidates(ring):
 # Rosati involution
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RosatiData:
+class RosatiData(Record):
     ring: EndoRing
     H0: Mat                                   # positive definite hermitian matrix
     involution: tuple[tuple[Fraction, ...], ...]  # row j = coords of basis_j'
+
+    def __init__(self, ring, H0, involution):
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "H0", H0)
+        object.__setattr__(self, "involution", involution)
 
     @property
     def rank(self) -> int:
@@ -442,12 +456,6 @@ class RosatiData:
         n = self.rank
         return [sum(Fraction(coords[j]) * self.involution[j][k] for j in range(n))
                 for k in range(n)]
-
-
-def is_positive_definite(h) -> bool:
-    """Exact: leading entry and determinant both positive."""
-    m = h if isinstance(h, Mat) else h.M
-    return exact_sign(m[0, 0]) > 0 and exact_sign(m.det()) > 0
 
 
 def check_in_ns(t: Torus, m0: Mat, require_positive: bool) -> None:
@@ -546,12 +554,17 @@ def symmetric_subspace(ros: RosatiData):
     return basis, len(basis)
 
 
-@dataclass(frozen=True)
-class RealMultiplication:
+class RealMultiplication(Record):
     d_prime: int             # positive squarefree part, > 1
     d_dblprime: int          # beta^2 = d_dblprime * identity
     beta: Endomorphism
     squarefree_certified: bool
+
+    def __init__(self, d_prime, d_dblprime, beta, squarefree_certified):
+        object.__setattr__(self, "d_prime", d_prime)
+        object.__setattr__(self, "d_dblprime", d_dblprime)
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "squarefree_certified", squarefree_certified)
 
 
 def find_real_multiplication(ros: RosatiData) -> RealMultiplication:

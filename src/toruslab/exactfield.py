@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -58,6 +57,7 @@ from .errors import (
     UncertifiedBasis,
     ValidationError,
 )
+from .record import Record
 
 Rational = Fraction
 
@@ -72,8 +72,7 @@ _F1 = Fraction(1)
 # generator specs
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GeneratorSpec:
+class GeneratorSpec(Record):
     """One simple extension: a named root of a monic rational polynomial.
 
     ``min_poly`` is constant-first, so x^3 - 2 is (-2, 0, 0, 1).  The root
@@ -87,6 +86,13 @@ class GeneratorSpec:
     root_re: tuple[Fraction, Fraction]
     root_im: tuple[Fraction, Fraction]
     conj: str
+
+    def __init__(self, name, min_poly, root_re, root_im, conj):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "min_poly", min_poly)
+        object.__setattr__(self, "root_re", root_re)
+        object.__setattr__(self, "root_im", root_im)
+        object.__setattr__(self, "conj", conj)
 
     @property
     def degree(self) -> int:
@@ -322,8 +328,7 @@ def _gen_axis_interval(spec: GeneratorSpec, width: Fraction) -> tuple[Fraction, 
 # complex boxes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ComplexBox:
+class ComplexBox(Record):
     """Axis-aligned rectangle with rational endpoints; a sound enclosure."""
 
     re_lo: Fraction
@@ -331,9 +336,13 @@ class ComplexBox:
     im_lo: Fraction
     im_hi: Fraction
 
-    def __post_init__(self):
-        if self.re_lo > self.re_hi or self.im_lo > self.im_hi:
+    def __init__(self, re_lo, re_hi, im_lo, im_hi):
+        if re_lo > re_hi or im_lo > im_hi:
             raise ValidationError("empty complex box")
+        object.__setattr__(self, "re_lo", re_lo)
+        object.__setattr__(self, "re_hi", re_hi)
+        object.__setattr__(self, "im_lo", im_lo)
+        object.__setattr__(self, "im_hi", im_hi)
 
     @staticmethod
     def exact(re: Fraction, im: Fraction = _F0) -> "ComplexBox":
@@ -402,8 +411,7 @@ def _box_pow(box: ComplexBox, e: int) -> ComplexBox:
 # number fields
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NumberField:
+class NumberField(Record):
     """Tensor product of the declared simple extensions (plus ``i``).
 
     The monomial basis is every product of generator powers below the
@@ -413,9 +421,9 @@ class NumberField:
 
     generators: tuple[GeneratorSpec, ...]
 
-    def __post_init__(self):
+    def __init__(self, generators):
         by_name: dict[str, GeneratorSpec] = {}
-        for g in self.generators:
+        for g in generators:
             if g.name in by_name and by_name[g.name] != g:
                 raise IncompatibleGenerators(
                     f"generator {g.name!r} declared twice with different data")

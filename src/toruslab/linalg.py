@@ -8,12 +8,12 @@ pivots, reduced entries above), so ranks and bases are reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import DegenerateLattice, invariant
-from .exactfield import FieldElement, NumberField, dot, eliminate, union_field
+from .exactfield import FieldElement, NumberField, dot, eliminate, exact_sign, union_field
+from .record import Record
 
 _F0 = Fraction(0)
 
@@ -22,9 +22,11 @@ _F0 = Fraction(0)
 # matrices over a number field
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Mat:
+class Mat(Record):
     rows: tuple[tuple[FieldElement, ...], ...]
+
+    def __init__(self, rows):
+        object.__setattr__(self, "rows", rows)
 
     @staticmethod
     def from_rows(rows) -> "Mat":
@@ -159,6 +161,15 @@ class Mat:
 
     def entries_str(self):
         return [[str(x) for x in r] for r in self.rows]
+
+
+def is_positive_definite(h) -> bool:
+    """Exact: leading entry and determinant both positive.
+
+    ``h`` is a 2x2 hermitian Mat or a form holding one as ``h.M``.
+    """
+    m = h if isinstance(h, Mat) else h.M
+    return exact_sign(m[0, 0]) > 0 and exact_sign(m.det()) > 0
 
 
 # ---------------------------------------------------------------------------

@@ -26,10 +26,8 @@ on the forms that determine G).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .endo import RosatiData, _rational_rep, is_positive_definite, symmetric_subspace
 from .errors import NotABasis, NotInEndo, NotInND, NotRational, NotReal, ScalarD, invariant
 from .exactfield import FieldElement, dot, exact_sign, union_field
 from .linalg import (
@@ -37,12 +35,20 @@ from .linalg import (
     clear_denominators,
     coords_in_rows,
     coords_in_rows_many,
+    is_positive_definite,
     kernel_lattice,
     monomial_rows,
     rational_kernel,
     rref,
 )
+from .record import Record
 from .torus import MultiplicationDatum, Torus, lattice_form
+
+# endo is imported only where the Rosati comparison runs, so that the
+# NS commands do not load it; the name below serves type checkers only
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from .endo import RosatiData
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -50,17 +56,17 @@ _F1 = Fraction(1)
 _PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
-@dataclass(frozen=True)
-class AltForm:
+class AltForm(Record):
     """Integral alternating form: values E(lambda_k, lambda_l) on generators."""
 
     E: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
+    def __init__(self, E):
         for k in range(4):
             for l in range(4):
-                if self.E[k][l] != -self.E[l][k]:
+                if E[k][l] != -E[l][k]:
                     raise ValueError("matrix is not antisymmetric")
+        object.__setattr__(self, "E", E)
 
     @staticmethod
     def from_upper(vals) -> "AltForm":
@@ -82,15 +88,15 @@ class AltForm:
                    for k in range(4) for l in range(4))
 
 
-@dataclass(frozen=True)
-class HermForm:
+class HermForm(Record):
     """Hermitian form H(x, y) = x^t M conj(y) on C^2."""
 
     M: Mat
 
-    def __post_init__(self):
-        if self.M.conj_t() != self.M:
+    def __init__(self, M):
+        if M.conj_t() != M:
             raise ValueError("matrix is not hermitian")
+        object.__setattr__(self, "M", M)
 
     def row(self, x) -> tuple[FieldElement, FieldElement]:
         """x^t M."""
@@ -106,11 +112,15 @@ class HermForm:
         return self.M.det()
 
 
-@dataclass(frozen=True)
-class NSLattice:
+class NSLattice(Record):
     torus: Torus
     basis: tuple[tuple[AltForm, HermForm], ...]
-    parent_coords: tuple[tuple[int, ...], ...] | None = None
+    parent_coords: tuple[tuple[int, ...], ...] | None
+
+    def __init__(self, torus, basis, parent_coords=None):
+        object.__setattr__(self, "torus", torus)
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "parent_coords", parent_coords)
 
     @property
     def rank(self) -> int:
@@ -221,8 +231,7 @@ def compute_N_D(ns: NSLattice, mult: MultiplicationDatum) -> NSLattice:
                      parent_coords=tuple(tuple(c) for c in coords))
 
 
-@dataclass(frozen=True)
-class CanonicalFormCoords:
+class CanonicalFormCoords(Record):
     """Coordinates (a, b) of a form in D-diagonal coordinates.
 
     d > 0: the transported matrix is diag(a, b); d < 0: it is
@@ -232,9 +241,11 @@ class CanonicalFormCoords:
     a: FieldElement
     b: FieldElement
 
-    def __post_init__(self):
-        if not (self.a.is_real() and self.b.is_real()):
+    def __init__(self, a, b):
+        if not (a.is_real() and b.is_real()):
             raise NotReal("canonical coordinates must be real")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
 
 def transport_to_diagonal(mult: MultiplicationDatum, h) -> Mat:
@@ -411,11 +422,15 @@ def choose_sqrt_basis(t: Torus, mult: MultiplicationDatum):
 # polarization search
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Polarization:
+class Polarization(Record):
     coords: tuple[int, ...]
     alt: AltForm
     herm: HermForm
+
+    def __init__(self, coords, alt, herm):
+        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "alt", alt)
+        object.__setattr__(self, "herm", herm)
 
 
 def _positive_vector(q):
@@ -514,11 +529,15 @@ def check_pfaffian_identity(ns: NSLattice, gram, det_c) -> None:
 # algebraicity
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AlgebraicityVerdict:
+class AlgebraicityVerdict(Record):
     status: str                    # "algebraic" | "not-algebraic"
     certificate: dict
-    polarization: Polarization | None = None   # the certified form when "algebraic"
+    polarization: Polarization | None   # the certified form when "algebraic"
+
+    def __init__(self, status, certificate, polarization=None):
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "certificate", certificate)
+        object.__setattr__(self, "polarization", polarization)
 
     @property
     def is_algebraic(self):
@@ -615,6 +634,8 @@ def ns_to_symmetric_endo(h, ros: RosatiData, ns: NSLattice):
 
 def _psi_coords(ros: RosatiData, hs):
     """Ring coordinates of conj(M0)^-1 conj(M) for each form, from one elimination."""
+    from .endo import _rational_rep
+
     ring = ros.ring
     t = ring.torus
     field = ros.H0.field
@@ -633,6 +654,8 @@ def _psi_coords(ros: RosatiData, hs):
 
 
 def _verify_ns_endo_iso(ros: RosatiData, ns: NSLattice) -> None:
+    from .endo import symmetric_subspace
+
     images = _psi_coords(ros, [herm for _, herm in ns.basis])
     if images:
         _, pivots = rref(images)

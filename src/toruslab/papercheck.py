@@ -18,15 +18,8 @@ the sign it needs, or a torus that is not algebraic.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .endo import (
-    compute_endo_ring,
-    find_real_multiplication,
-    rosati_involution,
-    symmetric_subspace,
-)
 from .errors import (
     DegenerateLattice,
     GenerationFailed,
@@ -56,6 +49,7 @@ from .neronseveri import (
     polarization_search,
     transport_to_diagonal,
 )
+from .record import Record
 from .torus import (
     MultiplicationDatum,
     PeriodMatrix,
@@ -79,12 +73,17 @@ DEFAULT_R_SPEC = GeneratorSpec(
 # reports
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Claim:
+class Claim(Record):
     claim_id: str
     status: str                      # "verified" | "refuted" | "skipped"
-    reason: str | None = None
-    witness: dict | None = None
+    reason: str | None
+    witness: dict | None
+
+    def __init__(self, claim_id, status, reason=None, witness=None):
+        object.__setattr__(self, "claim_id", claim_id)
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "reason", reason)
+        object.__setattr__(self, "witness", witness)
 
     def to_dict(self):
         out = {"id": self.claim_id, "status": self.status}
@@ -95,9 +94,11 @@ class Claim:
         return out
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Record):
     claims: tuple[Claim, ...]
+
+    def __init__(self, claims):
+        object.__setattr__(self, "claims", claims)
 
     def all_verified(self) -> bool:
         return all(c.status == "verified" for c in self.claims)
@@ -338,6 +339,14 @@ def verify_corollaries(t: Torus, mults=(), seed: int = 0) -> VerificationReport:
     direct = len(pivots) == len(nd_rows) + 1
     claims.append(Claim(later[2], "verified" if direct else "refuted",
                         witness={"combined_rank": len(pivots)}))
+
+    # the Rosati claims are the only ones that need the endomorphism ring
+    from .endo import (
+        compute_endo_ring,
+        find_real_multiplication,
+        rosati_involution,
+        symmetric_subspace,
+    )
 
     ring = compute_endo_ring(t)
     ros = rosati_involution(ring, pol.herm.M)

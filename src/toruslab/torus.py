@@ -14,7 +14,6 @@ coordinate change putting D into diag(sqrt(d), -sqrt(d)) form, with the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -35,17 +34,18 @@ from .exactfield import (
     union_field,
 )
 from .linalg import Mat
+from .record import Record
 
 
-@dataclass(frozen=True)
-class PeriodMatrix:
+class PeriodMatrix(Record):
     """2x4 matrix whose columns generate the lattice."""
 
     entries: Mat
 
-    def __post_init__(self):
-        if self.entries.shape != (2, 4):
+    def __init__(self, entries):
+        if entries.shape != (2, 4):
             raise ValueError("period matrix must be 2x4")
+        object.__setattr__(self, "entries", entries)
 
     @property
     def field(self) -> NumberField:
@@ -59,13 +59,19 @@ class PeriodMatrix:
         return self.entries.col(k)
 
 
-@dataclass(frozen=True)
-class Torus:
+class Torus(Record):
     period: PeriodMatrix
     field: NumberField
     J: Mat           # real 4x4, multiplication by i on lattice coordinates
     big_p: Mat       # cached big period matrix
     big_p_inv: Mat
+
+    def __init__(self, period, field, J, big_p, big_p_inv):
+        object.__setattr__(self, "period", period)
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "J", J)
+        object.__setattr__(self, "big_p", big_p)
+        object.__setattr__(self, "big_p_inv", big_p_inv)
 
     def right_inverse(self) -> Mat:
         """Pi^+ with Pi * Pi^+ = I_2 (first two columns of P^{-1})."""
@@ -110,8 +116,7 @@ def build_torus(period: PeriodMatrix) -> Torus:
     return Torus(period=period, field=field, J=j, big_p=p, big_p_inv=p_inv)
 
 
-@dataclass(frozen=True)
-class MultiplicationDatum:
+class MultiplicationDatum(Record):
     """An exact multiplication by sqrt(d) on a torus."""
 
     D_analytic: Mat                 # 2x2, D^2 = d
@@ -123,6 +128,18 @@ class MultiplicationDatum:
     diagonalizer_inv: Mat | None
     sqrt_d: FieldElement | None
     field: NumberField              # field of D and the diagonalizer
+
+    def __init__(self, D_analytic, R, d, epsilon, is_scalar, diagonalizer,
+                 diagonalizer_inv, sqrt_d, field):
+        object.__setattr__(self, "D_analytic", D_analytic)
+        object.__setattr__(self, "R", R)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "epsilon", epsilon)
+        object.__setattr__(self, "is_scalar", is_scalar)
+        object.__setattr__(self, "diagonalizer", diagonalizer)
+        object.__setattr__(self, "diagonalizer_inv", diagonalizer_inv)
+        object.__setattr__(self, "sqrt_d", sqrt_d)
+        object.__setattr__(self, "field", field)
 
     def r_matrix(self) -> Mat:
         f = self.field

@@ -144,6 +144,28 @@ def test_polarize_command(capsys):
     assert json.loads(out)["witnesses"]["verdict"] == "not-algebraic"
 
 
+@pytest.mark.parametrize("bits, fits", [(400, True), (600, False)])
+def test_polarize_past_the_float_range_exits_zero(bits, fits, tmp_path, capsys):
+    # det M of the polarization passes the float range; its eigenvalues
+    # are printed from scaled values, or left out when they pass it too
+    doc = json.loads((TORI / "example1_m1.json").read_text())
+    doc["multiplications"] = []
+    doc["period"][0][0] = f"(2^{bits} + 1)*i"
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _run(["polarize", str(path), "--json"], capsys)
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["witnesses"]["verdict"] == "algebraic"
+    eigs = report["approx"].get("polarization_eigenvalues")
+    if fits:
+        assert 0 <= eigs[0] <= eigs[1] < float("inf") and eigs[1] > 2.0 ** 700
+    else:
+        assert eigs is None
+    code, out, err = _run(["polarize", str(path)], capsys)
+    assert code == 0 and err == "" and "verdict: algebraic" in out
+
+
 def test_verify_prop_exit_zero(capsys):
     code, out, _ = _run(["verify-prop", str(TORI / "random_d2_seed1.json"),
                          "--mult", "0"], capsys)
@@ -226,6 +248,63 @@ def test_cli_import_loads_neither_sympy_nor_numpy():
                        text=True, env=env)
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == "[]"
+
+
+#: what every command loads: the parser, the documents and the torus layer
+_CORE = {"cli", "errors", "exactfield", "linalg", "record", "torus"}
+_MODULES_AT_EXIT = (
+    "import sys\n"
+    "code = 0\n"
+    "if sys.argv[1:]:\n"
+    "    from toruslab import cli\n"
+    "    code = cli.run_command(sys.argv[1:])\n"
+    "    sys.stdout.flush()\n"
+    "print(code, *sorted(sys.modules), file=sys.stderr)\n")
+
+
+def _modules_at_exit(argv):
+    """Exit code and sys.modules at exit of one command in a fresh interpreter
+    (of the bare interpreter, for no argv)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p)
+    opt = ["-" + "O" * sys.flags.optimize] if sys.flags.optimize else []
+    r = subprocess.run([sys.executable, *opt, "-c", _MODULES_AT_EXIT, *argv],
+                       capture_output=True, text=True, env=env)
+    code, *modules = r.stderr.splitlines()[-1].split()
+    return int(code), set(modules)
+
+
+@pytest.fixture(scope="module")
+def bare_modules():
+    return _modules_at_exit([])[1]
+
+
+#: each command, and the layers beyond _CORE that it loads
+_COMMAND_LAYERS = [
+    (["endo", "example2_m1_n2.json"], {"endo"}),
+    (["classify", "example1_m1.json"], {"endo"}),
+    (["ns", "scalar_m1.json"], {"neronseveri"}),
+    (["nd", "random_d2_seed1.json"], {"neronseveri"}),
+    (["polarize", "random_d3_seed1.json"], {"neronseveri"}),
+    (["verify-prop", "random_d2_seed1.json"], {"neronseveri", "papercheck"}),
+    (["verify-cor", "scalar_m1.json"], {"neronseveri", "papercheck", "endo"}),
+    (["gen-example", "random", "--d", "2", "--seed", "1"], {"neronseveri", "papercheck"}),
+]
+
+
+@pytest.mark.parametrize("argv, layers", _COMMAND_LAYERS,
+                         ids=[argv[0] for argv, _ in _COMMAND_LAYERS])
+def test_each_command_loads_only_the_layers_it_runs(argv, layers, bare_modules):
+    # a fresh interpreter compiles what it imports: start-up is paid per layer
+    if argv[0] != "gen-example":
+        argv = [argv[0], str(TORI / argv[1])]
+    code, modules = _modules_at_exit(["--json", *argv])
+    assert code == 0
+    # nothing the interpreter's own start-up did not already load
+    assert not {"dataclasses", "inspect"} & (modules - bare_modules)
+    assert {m for m in modules if m.split(".")[0] == "toruslab"} == (
+        {"toruslab"} | {f"toruslab.{m}" for m in _CORE | layers})
 
 
 @pytest.mark.parametrize("argv", [["1", "--m", "0"], ["2", "--m", "0", "--n", "2"],

@@ -6,7 +6,6 @@ numeric screen `find_small_relation`, which finds the relation; the
 quartic test is checked against sympy's factorization.
 """
 
-import dataclasses
 import json
 import math
 import random
@@ -20,7 +19,7 @@ from hypothesis import Phase, given, seed, settings
 from hypothesis import strategies as st
 
 from toruslab import cli, endo, exactfield, papercheck, torus
-from toruslab.cli import parse_input, run_command
+from toruslab.cli import TorusDocument, parse_input, run_command
 from toruslab.errors import IndependenceSuspect, UncertifiedBasis
 from toruslab.exactfield import (
     CONJ_IMAG,
@@ -208,7 +207,7 @@ def test_example1_refuses_a_dependent_parameter():
 
 def test_example1_refuses_a_quadratic_parameter():
     # Q(r, i, sqrt2) with r = sqrt3 is certified, yet r^2 = 3 is rational
-    r_spec = dataclasses.replace(SQRT3, name="r")
+    r_spec = GeneratorSpec("r", SQRT3.min_poly, SQRT3.root_re, SQRT3.root_im, SQRT3.conj)
     field = NumberField((r_spec,))
     field, _ = sqrt_element(field, -2)
     field, sqrt_m = sqrt_element(field, 2)
@@ -219,7 +218,8 @@ def test_example1_refuses_a_quadratic_parameter():
         example1(2, r_spec)
     assert info.value.generator == "r"
     with pytest.raises(UncertifiedBasis):
-        example1(3, dataclasses.replace(QUARTIC, name="r"))
+        example1(3, GeneratorSpec("r", QUARTIC.min_poly, QUARTIC.root_re,
+                                  QUARTIC.root_im, QUARTIC.conj))
 
 
 def test_no_construction_path_runs_the_screen(monkeypatch):
@@ -340,8 +340,9 @@ def test_dependent_field_document_is_refused(keep_mult, tmp_path, capsys):
 
 def test_dependent_field_document_is_refused_by_realize():
     doc = parse_input((TORI / "random_d2_seed1.json").read_text())
-    bad = dataclasses.replace(
-        doc, generators=doc.generators + (dataclasses.replace(SQRT2, name="t"),))
+    bad = TorusDocument(doc.generators + (GeneratorSpec("t", SQRT2.min_poly, SQRT2.root_re,
+                                                        SQRT2.root_im, SQRT2.conj),),
+                        doc.period_exprs, doc.multiplications)
     with pytest.raises(UncertifiedBasis):
         bad.realize()
 
