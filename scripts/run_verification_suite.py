@@ -14,7 +14,7 @@ import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from toruslab.neronseveri import compute_ns, is_algebraic
+from toruslab.neronseveri import is_algebraic
 from toruslab.papercheck import random_torus_with_sqrt_d, verify_proposition
 
 D_VALUES = (2, 3, 5, -1, -2, -5)
@@ -29,8 +29,7 @@ def main():
         td = time.time()
         for seed in SEEDS:
             torus, mult = random_torus_with_sqrt_d(d, seed)
-            ns = compute_ns(torus)
-            report = verify_proposition(torus, mult, seed=seed, ns=ns)
+            report = verify_proposition(torus, mult, seed=seed)
             for claim in report.claims:
                 if claim.status == "refuted":
                     refuted += 1
@@ -41,7 +40,7 @@ def main():
                     print(f"skipped d={d} seed={seed}: {claim.claim_id} "
                           f"({claim.reason})")
             if d > 0:
-                verdict = is_algebraic(torus, mults=[mult], seed=seed, ns=ns)
+                verdict = is_algebraic(torus, mults=[mult], seed=seed)
                 if verdict.status != "algebraic":
                     skipped += 1
                     print(f"no certificate d={d} seed={seed}: {verdict.status}")

@@ -479,9 +479,8 @@ def _cmd_polarize(doc: TorusDocument, args) -> tuple[dict, int]:
     from .neronseveri import compute_ns, is_algebraic
 
     torus, mults = doc.realize()
-    ns = compute_ns(torus)
-    verdict = is_algebraic(torus, mults=mults, seed=args.seed, ns=ns)
-    witnesses = {"ns_rank": ns.rank, "verdict": verdict.status,
+    verdict = is_algebraic(torus, mults=mults, seed=args.seed)
+    witnesses = {"ns_rank": compute_ns(torus).rank, "verdict": verdict.status,
                  "certificate": verdict.certificate}
     approx = {}
     if verdict.status == "algebraic":
@@ -504,8 +503,11 @@ def _approx_eigenvalues(m, precision):
     k = max(0, _log2_bound(tr) - 500, (_log2_bound(det) - 999) // 2)
     tr, det = float(tr / (1 << k)), float(det / (1 << 2 * k))
     disc = max(tr * tr - 4 * det, 0.0) ** 0.5
+    hi = (tr + disc) / 2
+    # tr - disc cancels when disc is close to tr; det / hi does not
+    lo = det / hi if disc > tr / 2 else (tr - disc) / 2
     try:
-        return [math.ldexp((tr - disc) / 2, k), math.ldexp((tr + disc) / 2, k)]
+        return [math.ldexp(lo, k), math.ldexp(hi, k)]
     except OverflowError:
         return None
 

@@ -139,8 +139,15 @@ def compute_endo_ring(t: Torus) -> EndoRing:
     lower-left block of P E_kl P^{-1} (an outer product of a column of P
     with a row of P^{-1}) over the monomial basis, take the saturated
     integer kernel, and normalize the first basis vector to the identity
-    by a unimodular change of basis.
+    by a unimodular change of basis.  The basis and structure constants
+    are computed once per torus object (`Torus.memo`); each call wraps
+    them in a new record.
     """
+    basis, structure = t.memo("_endo_ring", lambda: _endo_basis(t))
+    return EndoRing(torus=t, basis=basis, structure=structure)
+
+
+def _endo_basis(t: Torus):
     field = t.field
     p, p_inv = t.big_p, t.big_p_inv
     conditions = [[p[a, k] * p_inv[l, b] for k in range(4) for l in range(4)]
@@ -166,8 +173,7 @@ def compute_endo_ring(t: Torus) -> EndoRing:
         rmat = Mat.from_rows([[field.rational(v) for v in row] for row in r_rows])
         invariant((a @ t.period.entries) == (t.period.entries @ rmat), "not an endomorphism")
         basis.append(Endomorphism(R=r_rows, A=a))
-    structure = _structure_tensor(basis)
-    return EndoRing(torus=t, basis=tuple(basis), structure=structure)
+    return tuple(basis), _structure_tensor(basis)
 
 
 def _mat_mul_int(x, y):

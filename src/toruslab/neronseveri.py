@@ -28,7 +28,16 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import NotABasis, NotInEndo, NotInND, NotRational, NotReal, ScalarD, invariant
+from .errors import (
+    NotABasis,
+    NotInEndo,
+    NotInND,
+    NotRational,
+    NotReal,
+    ScalarD,
+    ValidationError,
+    invariant,
+)
 from .exactfield import FieldElement, dot, exact_sign, union_field
 from .linalg import (
     Mat,
@@ -167,8 +176,13 @@ def compute_ns(t: Torus) -> NSLattice:
 
     E is compatible exactly when (Pi^+)^t E Pi^+ = 0.  Its one free entry
     is the sum over k < l of e_kl (Pi^+_k0 Pi^+_l1 - Pi^+_l0 Pi^+_k1),
-    linear in the six upper entries of E.
+    linear in the six upper entries of E.  The basis is computed once per
+    torus object (`Torus.memo`); each call wraps it in a new record.
     """
+    return NSLattice(torus=t, basis=t.memo("_ns_basis", lambda: _ns_basis(t)))
+
+
+def _ns_basis(t: Torus):
     q = t.right_inverse()
     minors = [q[k, 0] * q[l, 1] - q[l, 0] * q[k, 1] for k, l in _PAIRS]
     basis_upper = kernel_lattice(monomial_rows([minors]), 6)
@@ -176,7 +190,16 @@ def compute_ns(t: Torus) -> NSLattice:
     for upper in basis_upper:
         alt = AltForm.from_upper(upper)
         pairs.append((alt, hermitian_lift(t, alt)))
-    return NSLattice(torus=t, basis=tuple(pairs))
+    return tuple(pairs)
+
+
+def ns_for(t: Torus, ns: NSLattice | None) -> NSLattice:
+    """compute_ns(t), or a caller's ns once it is checked to be NS of t."""
+    if ns is None:
+        return compute_ns(t)
+    if ns.torus is not t and ns.torus != t:
+        raise ValidationError("ns is the Neron-Severi lattice of another torus")
+    return ns
 
 
 def hermitian_lift(t: Torus, alt: AltForm) -> HermForm:
@@ -563,10 +586,10 @@ def is_algebraic(t: Torus, mults=(), seed: int = 0,
 
     Otherwise polarization_search returns a certified positive definite
     integral form, the verdict's polarization.  The verdict does not
-    depend on seed, which is accepted and ignored.
+    depend on seed, which is accepted and ignored.  ns, when given, must
+    be NS of t (ValidationError otherwise).
     """
-    if ns is None:
-        ns = compute_ns(t)
+    ns = ns_for(t, ns)
     if ns.rank == 0:
         return AlgebraicityVerdict("not-algebraic", {"kind": "ns-rank-0"})
     for idx, mult in enumerate(mults):

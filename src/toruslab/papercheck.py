@@ -45,6 +45,7 @@ from .neronseveri import (
     compute_ns,
     e_table,
     is_algebraic,
+    ns_for,
     pfaffian_certificate,
     polarization_search,
     transport_to_diagonal,
@@ -231,8 +232,8 @@ def verify_proposition(t: Torus, mult: MultiplicationDatum, seed: int = 0,
     For d > 0 the definiteness claim is verified by a certified positive
     definite form in N_D, or refuted by the Pfaffian certificate of N_D.
     seed picks the 100 rational pairs of the lambda round trip; nothing
-    else depends on it.  ns, when given, is compute_ns(t) computed by
-    the caller."""
+    else depends on it.  ns, when given, must be NS of t
+    (ValidationError otherwise)."""
     ids = ["proposition.nd-rank-2",
            "proposition.positive-definite-in-nd" if mult.d > 0
            else "proposition.antidiagonal-on-nd-basis",
@@ -242,9 +243,7 @@ def verify_proposition(t: Torus, mult: MultiplicationDatum, seed: int = 0,
         return VerificationReport(tuple(
             Claim(cid, "skipped", reason="ScalarD") for cid in ids))
     claims = []
-    if ns is None:
-        ns = compute_ns(t)
-    nd = compute_N_D(ns, mult)
+    nd = compute_N_D(ns_for(t, ns), mult)
     witness_nd = {"rank": nd.rank,
                   "basis_E": [[list(r) for r in alt.E] for alt, _ in nd.basis]}
     claims.append(Claim(ids[0], "verified" if nd.rank == 2 else "refuted",
@@ -300,8 +299,7 @@ def verify_corollaries(t: Torus, mults=(), seed: int = 0) -> VerificationReport:
 
     The report does not depend on seed, which is accepted and ignored."""
     claims = []
-    ns = compute_ns(t)
-    verdict = is_algebraic(t, mults=mults, seed=seed, ns=ns)
+    verdict = is_algebraic(t, mults=mults, seed=seed)
     has_positive = any(m.d > 0 for m in mults)
     negative = [m for m in mults if m.d < 0 and not m.is_scalar]
 
@@ -325,6 +323,7 @@ def verify_corollaries(t: Torus, mults=(), seed: int = 0) -> VerificationReport:
 
     pol = verdict.polarization
     mult = negative[0]
+    ns = compute_ns(t)
     nd = compute_N_D(ns, mult)
     claims.append(Claim(later[0], "verified" if ns.rank >= 3 else "refuted",
                         witness={"ns_rank": ns.rank}))

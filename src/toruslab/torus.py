@@ -77,6 +77,22 @@ class Torus(Record):
         """Pi^+ with Pi * Pi^+ = I_2 (first two columns of P^{-1})."""
         return self.big_p_inv.submatrix(range(4), range(2))
 
+    def memo(self, key: str, compute):
+        """compute(), run once for this torus object and kept under key.
+
+        The value must not refer back to the torus: that would make a
+        reference cycle, and the torus would then wait for the cycle
+        collector instead of going with its last reference.  Callers keep
+        the torus-free part of a result here and rebuild the record around
+        it.  The memo is no field, so equality, hashing and repr ignore it,
+        and equal but distinct tori do not share it.  A compute() that
+        raises keeps nothing.
+        """
+        kept = self.__dict__
+        if key not in kept:
+            object.__setattr__(self, key, compute())
+        return kept[key]
+
     @cached_property
     def real_det(self) -> FieldElement:
         """det C for the real coordinate matrix C = [Re Pi_0; Im Pi_0; Re Pi_1; Im Pi_1].

@@ -166,6 +166,28 @@ def test_polarize_past_the_float_range_exits_zero(bits, fits, tmp_path, capsys):
     assert code == 0 and err == "" and "verdict: algebraic" in out
 
 
+def test_polarize_small_eigenvalue_does_not_cancel(tmp_path, capsys):
+    # lambda_min / lambda_max is about 2^-400 here: (tr - disc) / 2 loses
+    # every digit of lambda_min, det / lambda_max keeps them
+    from toruslab.exactfield import embed
+    from toruslab.neronseveri import is_algebraic
+
+    doc = json.loads((TORI / "example1_m1.json").read_text())
+    doc["multiplications"] = []
+    doc["period"][0][0] = "(2^400 + 1)*i"
+    text = json.dumps(doc)
+    path = tmp_path / "big.json"
+    path.write_text(text)
+    code, out, _ = _run(["polarize", str(path), "--json"], capsys)
+    assert code == 0
+    lo, hi = json.loads(out)["approx"]["polarization_eigenvalues"]
+    assert 0 < lo < hi
+    torus, _ = parse_input(text).realize()
+    box = embed(is_algebraic(torus).polarization.herm.M.det(), 128)
+    det = (box.re_lo + box.re_hi) / 2
+    assert abs(F(lo) * F(hi) / det - 1) < 1e-12
+
+
 def test_verify_prop_exit_zero(capsys):
     code, out, _ = _run(["verify-prop", str(TORI / "random_d2_seed1.json"),
                          "--mult", "0"], capsys)
