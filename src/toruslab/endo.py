@@ -3,8 +3,10 @@
 An endomorphism is a pair (R, A): an integral 4x4 action on lattice
 coordinates and the 2x2 analytic action on C^2, linked by A*Pi = Pi*R.
 The ring is computed as the saturated integer kernel of the linear
-condition "the lower-left 2x2 block of P R P^{-1} vanishes", which
-simultaneously yields A as the upper-left block.
+condition "the lower-left 2x2 block of P R P^{-1} vanishes", written
+with Pi and Pi^+ alone.  Both directions of A*Pi = Pi*R come from
+`torus`: `analytic_rep` gives each basis element its A, and
+`rational_rep` gives the lattice action of a Rosati image.
 
 Also here: structure constants, the algebra classifier (quadratic /
 CM / quaternion via the reduced norm form / matrix algebra), the Rosati
@@ -53,7 +55,8 @@ from .linalg import (
     rref,
 )
 from .record import Record
-from .torus import Torus, lattice_action, lattice_form
+from .torus import Torus, analytic_rep, lattice_form
+from .torus import rational_rep as _rational_rep
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -126,20 +129,15 @@ class EndoRing(Record):
         return out
 
 
-def _analytic_from_r(t: Torus, r_rows) -> Mat:
-    field = t.field
-    rmat = Mat.from_rows([[field.rational(v) for v in row] for row in r_rows])
-    return (t.period.entries @ rmat) @ t.right_inverse()
-
-
 def compute_endo_ring(t: Torus) -> EndoRing:
     """All integral 4x4 matrices commuting with the complex structure.
 
-    The condition is linear in the 16 unknown entries: expand the
-    lower-left block of P E_kl P^{-1} (an outer product of a column of P
-    with a row of P^{-1}) over the monomial basis, take the saturated
-    integer kernel, and normalize the first basis vector to the identity
-    by a unimodular change of basis.  The basis and structure constants
+    The condition is linear in the 16 unknown entries: R commutes with J
+    exactly when the lower-left block of P R P^{-1} vanishes, and the
+    (a, b) entry of that block for R = E_kl is conj(Pi)[a, k] Pi^+[l, b].
+    Expand these over the monomial basis, take the saturated integer
+    kernel, and normalize the first basis vector to the identity by a
+    unimodular change of basis.  The basis and structure constants
     are computed once per torus object (`Torus.memo`); each call wraps
     them in a new record.
     """
@@ -148,20 +146,15 @@ def compute_endo_ring(t: Torus) -> EndoRing:
 
 
 def _endo_basis(t: Torus):
-    field = t.field
-    p, p_inv = t.big_p, t.big_p_inv
-    conditions = [[p[a, k] * p_inv[l, b] for k in range(4) for l in range(4)]
-                  for a in (2, 3) for b in (0, 1)]
-    basis_vecs = hnf(kernel_lattice(monomial_rows(conditions), 16))
+    pi_c, q = t.period.entries.conj(), t.right_inverse()
+    conditions = [[pi_c[a, k] * q[l, b] for k in range(4) for l in range(4)]
+                  for a in (0, 1) for b in (0, 1)]
+    basis_vecs = kernel_lattice(monomial_rows(conditions), 16)
     id_vec = [1 if k % 5 == 0 else 0 for k in range(16)]
-    coords = coords_in_rows([[Fraction(v) for v in b] for b in basis_vecs],
-                            [Fraction(v) for v in id_vec])
+    coords = coords_in_rows(basis_vecs, id_vec)
     invariant(coords is not None, "identity missing from endomorphism lattice")
     coords = [int(c) for c in coords]
-    g = 0
-    for c in coords:
-        g = gcd(g, c)
-    invariant(g == 1, "identity is imprimitive in a saturated lattice")
+    invariant(gcd(*coords) == 1, "identity is imprimitive in a saturated lattice")
     u = complete_to_unimodular(coords)
     n = len(basis_vecs)
     new_vecs = [[sum(u[i][j] * basis_vecs[j][k] for j in range(n)) for k in range(16)]
@@ -169,10 +162,7 @@ def _endo_basis(t: Torus):
     basis = []
     for vec in new_vecs:
         r_rows = tuple(tuple(vec[4 * r + c] for c in range(4)) for r in range(4))
-        a = _analytic_from_r(t, r_rows)
-        rmat = Mat.from_rows([[field.rational(v) for v in row] for row in r_rows])
-        invariant((a @ t.period.entries) == (t.period.entries @ rmat), "not an endomorphism")
-        basis.append(Endomorphism(R=r_rows, A=a))
+        basis.append(Endomorphism(R=r_rows, A=analytic_rep(t, r_rows)))
     return tuple(basis), _structure_tensor(basis)
 
 
@@ -509,14 +499,6 @@ def rosati_involution(ring: EndoRing, h0) -> RosatiData:
     return ros
 
 
-def _rational_rep(t: Torus, a: Mat):
-    """The lattice action of A as rational rows, or None if it is not rational."""
-    r = lattice_action(t, a)
-    if not all(x.is_rational() for row in r.rows for x in row):
-        return None
-    return [[x.rational_value() for x in row] for row in r.rows]
-
-
 def _verify_involution(ros: RosatiData) -> None:
     """sigma^2 = id and sigma(b_j b_k) = sigma(b_k) sigma(b_j), in integers.
 
@@ -601,8 +583,6 @@ def find_real_multiplication(ros: RosatiData) -> RealMultiplication:
             continue
         r_alpha = ring.element_r(coords)
         mp = min_poly_rational_matrix(r_alpha)
-        if len(mp) == 2:
-            continue
         if len(mp) != 3:
             continue
         tr, nr = -mp[1], mp[0]
@@ -623,16 +603,8 @@ def find_real_multiplication(ros: RosatiData) -> RealMultiplication:
                       for r in range(4) for c in range(4)), "beta^2 is not scalar")
         invariant(d_dbl > 0, "beta^2 is not a positive scalar")
         _, d0, certified = squarefree_decomposition(d_dbl)
-        # ints = scale * beta0 and beta0 = 2 alpha - tr
-        scale = next(Fraction(n) / v for n, v in zip(flat, beta0) if v)
-        a_beta = (ring.element_a(coords).scale(ring.torus.field.rational(2 * scale))
-                  - Mat.identity(ring.torus.field, 2).scale(
-                      ring.torus.field.rational(tr * scale)))
-        beta = Endomorphism(R=tuple(map(tuple, ints)), A=a_beta)
-        pi = ring.torus.period.entries
-        rmat = Mat.from_rows([[ring.torus.field.rational(v) for v in row]
-                              for row in ints])
-        invariant((beta.A @ pi) == (pi @ rmat), "beta does not preserve the lattice")
+        r_beta = tuple(map(tuple, ints))
+        beta = Endomorphism(R=r_beta, A=analytic_rep(ring.torus, r_beta))
         return RealMultiplication(d_prime=d0, d_dblprime=d_dbl, beta=beta,
                                   squarefree_certified=certified)
     raise NoSuchElement(

@@ -393,55 +393,33 @@ def coords_in_rows(rows, vec):
 
 
 def complete_to_unimodular(coeffs):
-    """A unimodular integer matrix whose first row is ``coeffs``.
+    """A unimodular integer matrix U whose first row is ``coeffs``.
 
-    Requires gcd(coeffs) = 1.  Built by composing 2x2 elementary steps of
-    the extended Euclidean algorithm.
+    Requires gcd(coeffs) = 1.  The extended Euclidean algorithm reduces
+    ``coeffs`` to +-e1 by 2x2 steps on the entries 0 and j; U is built
+    as the product of their integer inverses, each acting on the rows
+    0 and j, so that coeffs = e1 U.
     """
     n = len(coeffs)
-    g = 0
-    for v in coeffs:
-        g = gcd(g, v)
-    if g != 1:
+    if gcd(*coeffs) != 1:
         raise ValueError("first row must be primitive")
-    # W with coeffs @ W = e1, built as a product of elementary matrices
-    w = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    cur = list(coeffs)
-
-    def apply_col(op):
-        # right-multiply W by op (n x n), tracked lazily via full mult
-        nonlocal w
-        w = [[sum(w[i][k] * op[k][j] for k in range(n)) for j in range(n)]
-             for i in range(n)]
-
+    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    cur = coeffs[0]
     for j in range(1, n):
-        a, b = cur[0], cur[j]
+        b = coeffs[j]
         if b == 0:
             continue
-        g2, x, y = _xgcd(a, b)
-        op = [[1 if i == k else 0 for k in range(n)] for i in range(n)]
-        op[0][0], op[j][0] = x, y
-        op[0][j], op[j][j] = -b // g2, a // g2
-        cur = [sum(cur[k] * op[k][col] for k in range(n)) for col in range(n)]
-        apply_col(op)
-    invariant(cur[0] in (1, -1) and all(v == 0 for v in cur[1:]), "coefficients are not primitive")
-    if cur[0] == -1:
-        for i in range(n):
-            w[i][0] = -w[i][0]
-    # coeffs @ W = e1  =>  first row of W^{-1} is coeffs
-    winv = invert_unimodular(w)
-    return winv
-
-
-def invert_unimodular(m):
-    """Exact inverse of an integer matrix with det +-1."""
-    n = len(m)
-    aug = [[Fraction(v) for v in row] + [Fraction(1 if k == j else 0)
-                                         for j in range(n)]
-           for k, row in enumerate(m)]
-    pivots, _ = eliminate(aug)
-    invariant(pivots == list(range(n)), "matrix is not unimodular")
-    return [[int(aug[i][n + j]) for j in range(n)] for i in range(n)]
+        g2, x, y = _xgcd(cur, b)
+        # (cur, b) [[x, -b/g2], [y, cur/g2]] = (g2, 0); the inverse step
+        # [[cur/g2, b/g2], [-y, x]] acts on the rows 0 and j of U
+        ag, bg = cur // g2, b // g2
+        u[0], u[j] = ([ag * p + bg * q for p, q in zip(u[0], u[j])],
+                      [x * q - y * p for p, q in zip(u[0], u[j])])
+        cur = g2
+    invariant(cur in (1, -1), "coefficients are not primitive")
+    if cur == -1:
+        u[0] = [-v for v in u[0]]
+    return u
 
 
 def lattice_points_in_box(hnf_rows, bound):

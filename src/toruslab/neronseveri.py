@@ -51,7 +51,7 @@ from .linalg import (
     rref,
 )
 from .record import Record
-from .torus import MultiplicationDatum, Torus, lattice_form
+from .torus import MultiplicationDatum, Torus, lattice_form, rational_rep
 
 # endo is imported only where the Rosati comparison runs, so that the
 # NS commands do not load it; the name below serves type checkers only
@@ -657,8 +657,6 @@ def ns_to_symmetric_endo(h, ros: RosatiData, ns: NSLattice):
 
 def _psi_coords(ros: RosatiData, hs):
     """Ring coordinates of conj(M0)^-1 conj(M) for each form, from one elimination."""
-    from .endo import _rational_rep
-
     ring = ros.ring
     t = ring.torus
     field = ros.H0.field
@@ -666,7 +664,7 @@ def _psi_coords(ros: RosatiData, hs):
     images = []
     for h in hs:
         m = h.M if isinstance(h, HermForm) else h
-        r = _rational_rep(t, m0c_inv @ m.map(lambda v: v.in_field(field)).conj())
+        r = rational_rep(t, m0c_inv @ m.map(lambda v: v.in_field(field)).conj())
         if r is None:
             raise NotInEndo("induced map does not act rationally on the lattice")
         images.append([v for row in r for v in row])

@@ -5,6 +5,10 @@ number field.  The 4x4 big period matrix P stacks Pi over its entrywise
 conjugate; invertibility of P is the lattice condition.  J is the real
 4x4 matrix of multiplication by i in lattice coordinates.
 
+The rational representation lives here alone: an analytic 2x2 A and a
+4x4 R on the lattice belong together when A Pi = Pi R (`rational_rep`
+from A to R, `analytic_rep` from R to A).
+
 A "multiplication by sqrt(d)" is an analytic 2x2 matrix D with D^2 = d
 (d a nonsquare integer) whose rational representation on the lattice is
 integral.  Nonscalar multiplications come with a diagonalizing
@@ -186,23 +190,12 @@ def attach_multiplication(t: Torus, d_analytic, d: int) -> MultiplicationDatum:
     if (dmat @ dmat) != Mat.diagonal([d_elt, d_elt]):
         raise NotSquareRootOfD(f"D^2 is not {d} * identity")
 
-    r_field = lattice_action(t, dmat)
-    r_rows = []
-    for r in range(4):
-        row = []
-        for c in range(4):
-            entry = r_field[r, c]
-            if not entry.is_rational():
-                raise NotAnEndomorphism(
-                    f"rational representation entry ({r},{c}) = {entry} "
-                    "is not rational; D does not preserve the lattice")
-            q = entry.rational_value()
-            if q.denominator != 1:
-                raise NotAnEndomorphism(
-                    f"rational representation entry ({r},{c}) = {q} "
-                    "is not integral; D Lambda is not contained in Lambda")
-            row.append(int(q))
-        r_rows.append(tuple(row))
+    rows = rational_rep(t, dmat)
+    if rows is None:
+        raise NotAnEndomorphism("D acts on the lattice by a non-rational matrix")
+    if any(q.denominator != 1 for row in rows for q in row):
+        raise NotAnEndomorphism("D acts by a non-integral matrix; D Lambda is not in Lambda")
+    r_rows = [tuple(int(q) for q in row) for row in rows]
 
     scalar = (dmat[0, 1].is_zero() and dmat[1, 0].is_zero()
               and dmat[0, 0] == dmat[1, 1])
@@ -227,19 +220,33 @@ def attach_multiplication(t: Torus, d_analytic, d: int) -> MultiplicationDatum:
 def lattice_action(t: Torus, a: Mat) -> Mat:
     """P^-1 diag(A, conj A) P over A's field: the 2x2 analytic A on lattice coordinates.
 
-    A maps the lattice into itself exactly when every entry is an integer.
+    P^-1 = [Pi^+ | conj Pi^+], so the action is X + conj X for
+    X = Pi^+ A Pi.  A maps the lattice into itself exactly when every
+    entry is an integer.
     """
     field = a.field
-    big = t.big_p.map(lambda x: x.in_field(field))
-    big_inv = t.big_p_inv.map(lambda x: x.in_field(field))
-    z = field.zero()
-    block = Mat.from_rows([
-        [a[0, 0], a[0, 1], z, z],
-        [a[1, 0], a[1, 1], z, z],
-        [z, z, a[0, 0].conjugate(), a[0, 1].conjugate()],
-        [z, z, a[1, 0].conjugate(), a[1, 1].conjugate()],
-    ])
-    return big_inv @ block @ big
+    q = t.right_inverse().map(lambda x: x.in_field(field))
+    pi = t.period.entries.map(lambda x: x.in_field(field))
+    x = q @ a @ pi
+    return Mat(tuple(tuple(v + v.conjugate() for v in row) for row in x.rows))
+
+
+def rational_rep(t: Torus, a: Mat):
+    """The lattice action of A as rows of Fractions, or None if it is not rational."""
+    r = lattice_action(t, a)
+    if not all(x.is_rational() for row in r.rows for x in row):
+        return None
+    return [[x.rational_value() for x in row] for row in r.rows]
+
+
+def analytic_rep(t: Torus, r_rows) -> Mat:
+    """A = Pi R Pi^+ for a lattice action R; InvariantViolation unless A Pi = Pi R."""
+    field = t.field
+    pi = t.period.entries
+    pi_r = pi @ Mat(tuple(tuple(field.rational(v) for v in row) for row in r_rows))
+    a = pi_r @ t.right_inverse()
+    invariant(a @ pi == pi_r, "R is not the lattice action of an endomorphism")
+    return a
 
 
 def lattice_form(t: Torus, m: Mat) -> Mat:
