@@ -13,11 +13,8 @@ from .exactfield import (  # noqa: F401
     GeneratorSpec,
     NumberField,
     Rational,
-    conjugate,
     embed,
     exact_sign,
-    field_arith,
-    find_small_relation,
     sqrt_element,
     union_field,
 )

@@ -310,24 +310,26 @@ def parse_input(text: str) -> TorusDocument:
     if not isinstance(doc, dict):
         raise ValidationError("top level must be an object")
     gens = []
-    for k, g in enumerate(doc.get("generators", [])):
+    for k, g in enumerate(_array(doc.get("generators", []), "generators")):
         where = f"generators[{k}]"
         if not isinstance(g, dict):
             raise ValidationError(f"{where}: expected an object")
         for key in ("name", "min_poly", "root", "conj"):
             if key not in g:
                 raise ValidationError(f"{where}: missing key {key!r}")
-        conj = {"real": CONJ_REAL, "imaginary-negation": CONJ_IMAG,
-                "imaginary": CONJ_IMAG}.get(g["conj"])
+        kinds = {"real": CONJ_REAL, "imaginary-negation": CONJ_IMAG, "imaginary": CONJ_IMAG}
+        conj = kinds.get(g["conj"]) if isinstance(g["conj"], str) else None
         if conj is None:
             raise ValidationError(f"{where}: unknown conj kind {g['conj']!r}")
         min_poly = tuple(_frac_from_json(c, f"{where}.min_poly")
-                         for c in g["min_poly"])
+                         for c in _array(g["min_poly"], f"{where}.min_poly"))
         root = g["root"]
         if not isinstance(root, dict) or "re" not in root or "im" not in root:
             raise ValidationError(f"{where}.root: need keys 're' and 'im'")
-        re_iv = tuple(_frac_from_json(v, f"{where}.root.re") for v in root["re"])
-        im_iv = tuple(_frac_from_json(v, f"{where}.root.im") for v in root["im"])
+        re_iv = tuple(_frac_from_json(v, f"{where}.root.re")
+                      for v in _array(root["re"], f"{where}.root.re"))
+        im_iv = tuple(_frac_from_json(v, f"{where}.root.im")
+                      for v in _array(root["im"], f"{where}.root.im"))
         if len(re_iv) != 2 or len(im_iv) != 2:
             raise ValidationError(f"{where}.root: intervals need two endpoints")
         spec = GeneratorSpec(name=str(g["name"]), min_poly=min_poly,
@@ -340,7 +342,7 @@ def parse_input(text: str) -> TorusDocument:
         raise ValidationError("period must be a 2x4 array of expression strings")
     period_exprs = tuple(tuple(_expr_str(e, "period") for e in row) for row in period)
     mults = []
-    for k, m in enumerate(doc.get("multiplications", [])):
+    for k, m in enumerate(_array(doc.get("multiplications", []), "multiplications")):
         where = f"multiplications[{k}]"
         if not isinstance(m, dict) or "D" not in m or "d" not in m:
             raise ValidationError(f"{where}: need keys 'D' and 'd'")
@@ -367,6 +369,12 @@ def parse_input(text: str) -> TorusDocument:
             for e in row:
                 parse_expression(e, field)
     return document
+
+
+def _array(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise ValidationError(f"{where}: expected an array")
+    return value
 
 
 def _expr_str(e, where: str) -> str:

@@ -19,12 +19,10 @@ identities are checked on integers.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 from .errors import (
-    BoundTooLarge,
     NegativeDiscriminant,
     NoSuchElement,
     NotClosed,
@@ -46,13 +44,10 @@ from .linalg import (
     complete_to_unimodular,
     coords_in_rows,
     coords_in_rows_many,
-    hnf,
     is_positive_definite,
     kernel_lattice,
-    lattice_points_in_box,
     monomial_rows,
     rational_kernel,
-    rref,
 )
 from .record import Record
 from .torus import Torus, analytic_rep, lattice_form
@@ -185,13 +180,6 @@ def _structure_tensor(basis):
         raise NotClosed("basis product left the Z-span; kernel computation is broken")
     return tuple(tuple(tuple(int(x) for x in coords[n * i + j]) for j in range(n))
                  for i in range(n))
-
-
-def structure_constants(ring: EndoRing):
-    """Exact integer tensor with b_i b_j = sum_k tensor[i][j][k] b_k."""
-    tensor = _structure_tensor(ring.basis)
-    invariant(tensor == ring.structure, "structure constants changed on recomputation")
-    return tensor
 
 
 # ---------------------------------------------------------------------------
@@ -609,81 +597,3 @@ def find_real_multiplication(ros: RosatiData) -> RealMultiplication:
                                   squarefree_certified=certified)
     raise NoSuchElement(
         "every explored symmetric element has a square discriminant")
-
-
-# ---------------------------------------------------------------------------
-# brute-force oracle
-# ---------------------------------------------------------------------------
-
-def endo_box_oracle(t: Torus, bound: int, shape: str = "full"):
-    """Independent enumeration of endomorphisms with entries in [-bound, bound].
-
-    Uses the commutation J R = R J (a different formulation than the ring
-    computation) to cut the search to the free coordinates of the
-    solution space, then validates every candidate against the defining
-    equation A Pi = Pi R.  Intended for cross-checking compute_endo_ring
-    in tests; bound is capped at 3.
-    """
-    if bound < 1 or bound > 3:
-        raise BoundTooLarge("oracle bound must be between 1 and 3")
-    field = t.field
-    pi = t.period.entries
-    q1 = t.right_inverse()
-
-    def definition_check(r_rows):
-        rmat = Mat.from_rows([[field.rational(v) for v in row] for row in r_rows])
-        a = (pi @ rmat) @ q1
-        return (a @ pi) == (pi @ rmat)
-
-    results = []
-    if shape == "diagonal":
-        for diag in itertools.product(range(-bound, bound + 1), repeat=4):
-            r_rows = tuple(tuple(diag[r] if r == c else 0 for c in range(4))
-                           for r in range(4))
-            if definition_check(r_rows):
-                results.append(r_rows)
-        return sorted(results)
-    if shape != "full":
-        raise ValueError(f"unknown shape {shape!r}")
-
-    j = t.J
-    rows = []
-    for r in range(4):
-        for c in range(4):
-            cols = [field.zero()] * 16
-            for k in range(4):
-                cols[4 * k + c] = cols[4 * k + c] + j[r, k]
-            for k in range(4):
-                cols[4 * r + k] = cols[4 * r + k] - j[k, c]
-            for row in zip(*(x.coeffs for x in cols)):
-                if any(v != 0 for v in row):
-                    rows.append(list(row))
-    red, pivots = rref(rows)
-    free = [c for c in range(16) if c not in pivots]
-    if len(free) > 9:
-        raise BoundTooLarge("solution space too large for full enumeration")
-    for assignment in itertools.product(range(-bound, bound + 1), repeat=len(free)):
-        vec = [_F0] * 16
-        ok = True
-        for fc, v in zip(free, assignment):
-            vec[fc] = Fraction(v)
-        for r, pc in enumerate(pivots):
-            val = -sum(red[r][fc] * vec[fc] for fc in free)
-            if val.denominator != 1 or abs(val) > bound:
-                ok = False
-                break
-            vec[pc] = val
-        if not ok:
-            continue
-        r_rows = tuple(tuple(int(vec[4 * r + c]) for c in range(4)) for r in range(4))
-        if definition_check(r_rows):
-            results.append(r_rows)
-    return sorted(results)
-
-
-def ring_box_intersection(ring: EndoRing, bound: int):
-    """All ring elements with every R entry in [-bound, bound]."""
-    h = hnf(ring.basis_vecs())
-    pts = lattice_points_in_box(h, bound)
-    return sorted(tuple(tuple(v[4 * r + c] for c in range(4)) for r in range(4))
-                  for v in pts)

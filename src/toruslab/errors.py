@@ -109,10 +109,6 @@ class NegativeDiscriminant(TorusLabError):
     genuine polarization this contradicts a proved invariant."""
 
 
-class BoundTooLarge(TorusLabError):
-    pass
-
-
 # ---- Neron-Severi ----------------------------------------------------------
 
 class ScalarD(TorusLabError):

@@ -20,8 +20,11 @@ irreducible (a quadratic by its discriminant, a cubic by the rational
 root test), the quadratic generators' discriminants are independent in
 Q*/Q*^2 (Kummer theory; Besicovitch 1940), and the odd-degree generators
 have pairwise coprime degrees.  Any other field is refused with a typed
-error.  `find_small_relation` remains as a numeric screen for tests and
-callers; no construction path uses it.
+error; no numeric screen stands in for the certificate.
+
+Arithmetic is the operators +, -, *, / and the method ``conjugate()`` of
+`FieldElement`; `embed` and `exact_sign` read an element through the
+declared root boxes.
 
 Conventions:
 
@@ -991,25 +994,8 @@ def _bareiss(rows):
 
 
 # ---------------------------------------------------------------------------
-# the four spec operations
+# embedding and sign
 # ---------------------------------------------------------------------------
-
-def field_arith(a: FieldElement, b: FieldElement, op: str) -> FieldElement:
-    """Functional form of +, -, *, /; the operators are the primary API."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
-
-
-def conjugate(a: FieldElement) -> FieldElement:
-    return a.conjugate()
-
 
 def embed(a: FieldElement, precision_bits: int) -> ComplexBox:
     """A sound complex enclosure of ``a`` under the declared root choices.
@@ -1230,47 +1216,4 @@ def _independence_refusal(gens) -> tuple[str, str] | None:
     for a, b in itertools.combinations(odd, 2):
         if math.gcd(a.degree, b.degree) != 1:
             return b.name, f"its degree is not coprime to that of {a.name}"
-    return None
-
-
-# ---------------------------------------------------------------------------
-# numeric independence screen
-# ---------------------------------------------------------------------------
-
-def find_small_relation(elements, height: int = 10, precision_bits: int = 128):
-    """Search for a small integer relation among the given elements.
-
-    Returns the first coefficient vector (entries bounded by ``height``,
-    first nonzero entry positive) whose combination embeds into a box
-    containing 0 at the requested precision, or None.  A returned vector
-    is a *suspicion*, not a proof of dependence; None is a sanity screen,
-    not a proof of independence.  It tries (2 * height + 1)^n vectors, so
-    no construction path calls it: `certify_independence` is the proof.
-    """
-    elements = list(elements)
-    if not elements:
-        return None
-    field = elements[0].field
-    for e in elements[1:]:
-        field = union_field(field, e.field)
-    elements = [e.in_field(field) for e in elements]
-    boxes = [embed(e, precision_bits + 32) for e in elements]
-    mids = [b.midpoint() for b in boxes]
-    scale = max(abs(m) for m in mids) + 1.0
-    ranges = [range(-height, height + 1)] * len(elements)
-    for c in itertools.product(*ranges):
-        if all(v == 0 for v in c):
-            continue
-        first = next(v for v in c if v != 0)
-        if first < 0:
-            continue
-        approx = sum(v * m for v, m in zip(c, mids))
-        if abs(approx) > 1e-9 * scale * height:
-            continue
-        total = ComplexBox.exact(_F0)
-        for v, b in zip(c, boxes):
-            if v:
-                total = total.add(b.scale(Fraction(v)))
-        if total.contains_zero():
-            return tuple(c)
     return None

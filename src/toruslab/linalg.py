@@ -197,11 +197,6 @@ def rational_kernel(rows, ncols):
     return basis
 
 
-def solve_rational(rows, rhs):
-    """One solution of A x = b over Q, or None if inconsistent."""
-    return coords_in_rows_many([list(col) for col in zip(*rows)], [rhs])[0]
-
-
 def coords_in_rows_many(rows, vecs):
     """Coordinates of each vec in the rational row span of ``rows``.
 
@@ -357,19 +352,6 @@ def integer_kernel(rows, ncols):
     return hnf(kernel)
 
 
-def saturate(rational_rows, ncols):
-    """Integer basis of (Q-span of the rows) intersected with Z^n."""
-    rows = [list(map(Fraction, r)) for r in rational_rows]
-    rows = [r for r in rows if any(v != 0 for v in r)]
-    if not rows:
-        return []
-    complement = rational_kernel(rows, ncols)
-    if not complement:
-        return [[1 if k == j else 0 for k in range(ncols)] for j in range(ncols)]
-    int_complement = [clear_denominators(v) for v in complement]
-    return integer_kernel(int_complement, ncols)
-
-
 def kernel_lattice(int_rows, ncols):
     """Saturated integer kernel of an integer matrix.
 
@@ -380,11 +362,6 @@ def kernel_lattice(int_rows, ncols):
     if not int_rows:
         return [[1 if k == j else 0 for k in range(ncols)] for j in range(ncols)]
     return integer_kernel(int_rows, ncols)
-
-
-def in_row_span_q(rows, vec):
-    """Is vec in the rational row span?"""
-    return coords_in_rows_many(rows, [vec])[0] is not None
 
 
 def coords_in_rows(rows, vec):
@@ -420,37 +397,3 @@ def complete_to_unimodular(coeffs):
     if cur == -1:
         u[0] = [-v for v in u[0]]
     return u
-
-
-def lattice_points_in_box(hnf_rows, bound):
-    """All lattice vectors (Z-combinations of HNF rows) with sup-norm <= bound.
-
-    Walks coordinates in pivot order, pruning with the pivot entries;
-    output is sorted lexicographically.
-    """
-    if not hnf_rows:
-        return [tuple()]
-    n = len(hnf_rows[0])
-    pivots = [next(k for k, v in enumerate(row) if v) for row in hnf_rows]
-    out = []
-
-    def rec(idx, partial):
-        if idx == len(hnf_rows):
-            if all(abs(v) <= bound for v in partial):
-                out.append(tuple(partial))
-            return
-        row = hnf_rows[idx]
-        p = pivots[idx]
-        # partial[p] + c * row[p] must land in [-bound, bound]; row[p] > 0
-        a = row[p]
-        cmin = _ceil_div(-bound - partial[p], a)
-        cmax = (bound - partial[p]) // a
-        for c in range(cmin, cmax + 1):
-            rec(idx + 1, [v + c * w for v, w in zip(partial, row)])
-
-    rec(0, [0] * n)
-    return sorted(out)
-
-
-def _ceil_div(a, b):
-    return -((-a) // b)

@@ -32,7 +32,6 @@ from .errors import (
     NotABasis,
     NotInEndo,
     NotInND,
-    NotRational,
     NotReal,
     ScalarD,
     ValidationError,
@@ -363,30 +362,6 @@ class LambdaMap:
         (p, q), (r, s) = self.l1, self.l2
         return CanonicalFormCoords(a=(s * u - r * v) * self.det_inv,
                                    b=(p * v - q * u) * self.det_inv)
-
-
-def lambda_map(t: Torus, mult: MultiplicationDatum, e1, e2,
-               coords: CanonicalFormCoords) -> tuple[Fraction, Fraction]:
-    """(E_{a,b}(e1, e2), E_{a,b}(e1, D e2)), both certified rational.
-
-    Irrational values raise NotRational: e1, e2 are not lattice vectors.
-    """
-    u, v = LambdaMap(t, mult, e1, e2).values(coords)
-    if not (u.is_rational() and v.is_rational()):
-        raise NotRational("lambda values are irrational; e1, e2 are not lattice vectors")
-    return u.rational_value(), v.rational_value()
-
-
-def lambda_values(t: Torus, mult: MultiplicationDatum, e1, e2,
-                  coords: CanonicalFormCoords):
-    """Field-valued lambda: (E_{a,b}(e1,e2), E_{a,b}(e1,De2)), both real."""
-    return LambdaMap(t, mult, e1, e2).values(coords)
-
-
-def lambda_inverse(t: Torus, mult: MultiplicationDatum, e1, e2,
-                   u, v) -> CanonicalFormCoords:
-    """Solve lambda(a, b) = (u, v); the 2x2 system is exactly invertible."""
-    return LambdaMap(t, mult, e1, e2).inverse(u, v)
 
 
 def e_table(t: Torus, mult: MultiplicationDatum, e1, e2,

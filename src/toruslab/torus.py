@@ -19,7 +19,6 @@ coordinate change putting D into diag(sqrt(d), -sqrt(d)) form, with the
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 
 from .errors import (
     DegenerateLattice,
@@ -97,17 +96,14 @@ class Torus(Record):
             object.__setattr__(self, key, compute())
         return kept[key]
 
-    @cached_property
+    @property
     def real_det(self) -> FieldElement:
         """det C for the real coordinate matrix C = [Re Pi_0; Im Pi_0; Re Pi_1; Im Pi_1].
 
-        Computed on first use and kept; its sign orients the lattice.
+        P = M C with det M = 4, so det C = det P / 4; `build_torus` keeps it
+        from the det P it certifies.  Its sign orients the lattice.
         """
-        rows = []
-        for r in range(2):
-            rows.append([self.period.entries[r, c].real_part() for c in range(4)])
-            rows.append([self.period.entries[r, c].imag_part() for c in range(4)])
-        return Mat.from_rows(rows).det()
+        return self.memo("_real_det", lambda: self.big_p.det() * Fraction(1, 4))
 
 
 def build_torus(period: PeriodMatrix) -> Torus:
@@ -133,7 +129,9 @@ def build_torus(period: PeriodMatrix) -> Torus:
     minus_id = Mat.identity(field, 4).scale(-1)
     invariant(j @ j == minus_id, "complex structure does not square to -1")
     period = PeriodMatrix(period.entries.map(lambda x: x.in_field(field)))
-    return Torus(period=period, field=field, J=j, big_p=p, big_p_inv=p_inv)
+    t = Torus(period=period, field=field, J=j, big_p=p, big_p_inv=p_inv)
+    t.memo("_real_det", lambda: det * Fraction(1, 4))
+    return t
 
 
 class MultiplicationDatum(Record):

@@ -12,16 +12,34 @@ Rosati references run `eliminate` on one right-hand column at a time, as
 the library did before it solved every vector against a basis in one
 elimination, and check the involution over Fractions instead of
 integers.
+
+The brute-force End oracle enumerates endomorphisms in a box through the
+commutation J R = R J, a different formulation from the ring computation,
+and the ring side lists its own elements in the same box.  The numeric
+independence screen searches small integer relations among embedded
+elements; no construction path runs it, the exact certificate does that
+job.  The real-determinant reference builds det C from the real and
+imaginary parts of Pi, where the library keeps det P / 4.
 """
 
+import itertools
 from fractions import Fraction
 from itertools import combinations
 from math import isqrt
 
 from toruslab.errors import ValidationError
-from toruslab.endo import _mat_mul_int, _rational_rep
-from toruslab.exactfield import ComplexBox, _box_pow, _field_data, _gen_box, eliminate
-from toruslab.linalg import Mat
+from toruslab.endo import EndoRing, _mat_mul_int, _rational_rep
+from toruslab.exactfield import (
+    ComplexBox,
+    _box_pow,
+    _field_data,
+    _gen_box,
+    eliminate,
+    embed,
+    union_field,
+)
+from toruslab.linalg import Mat, hnf, rref
+from toruslab.torus import Torus
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -235,3 +253,163 @@ def involution_holds_over_fractions(ring, involution) -> bool:
         return False
     return all(apply(ring.structure[j][k]) == ring.multiply_coords(img[k], img[j])
                for j in range(n) for k in range(n))
+
+
+class BoundTooLarge(Exception):
+    """The box oracle was asked for more candidates than it enumerates."""
+
+
+def endo_box_oracle(t: Torus, bound: int, shape: str = "full"):
+    """Independent enumeration of endomorphisms with entries in [-bound, bound].
+
+    Uses the commutation J R = R J (a different formulation than the ring
+    computation) to cut the search to the free coordinates of the
+    solution space, then validates every candidate against the defining
+    equation A Pi = Pi R.  Intended for cross-checking compute_endo_ring
+    in tests; bound is capped at 3.
+    """
+    if bound < 1 or bound > 3:
+        raise BoundTooLarge("oracle bound must be between 1 and 3")
+    field = t.field
+    pi = t.period.entries
+    q1 = t.right_inverse()
+
+    def definition_check(r_rows):
+        rmat = Mat.from_rows([[field.rational(v) for v in row] for row in r_rows])
+        a = (pi @ rmat) @ q1
+        return (a @ pi) == (pi @ rmat)
+
+    results = []
+    if shape == "diagonal":
+        for diag in itertools.product(range(-bound, bound + 1), repeat=4):
+            r_rows = tuple(tuple(diag[r] if r == c else 0 for c in range(4))
+                           for r in range(4))
+            if definition_check(r_rows):
+                results.append(r_rows)
+        return sorted(results)
+    if shape != "full":
+        raise ValueError(f"unknown shape {shape!r}")
+
+    j = t.J
+    rows = []
+    for r in range(4):
+        for c in range(4):
+            cols = [field.zero()] * 16
+            for k in range(4):
+                cols[4 * k + c] = cols[4 * k + c] + j[r, k]
+            for k in range(4):
+                cols[4 * r + k] = cols[4 * r + k] - j[k, c]
+            for row in zip(*(x.coeffs for x in cols)):
+                if any(v != 0 for v in row):
+                    rows.append(list(row))
+    red, pivots = rref(rows)
+    free = [c for c in range(16) if c not in pivots]
+    if len(free) > 9:
+        raise BoundTooLarge("solution space too large for full enumeration")
+    for assignment in itertools.product(range(-bound, bound + 1), repeat=len(free)):
+        vec = [_F0] * 16
+        ok = True
+        for fc, v in zip(free, assignment):
+            vec[fc] = Fraction(v)
+        for r, pc in enumerate(pivots):
+            val = -sum(red[r][fc] * vec[fc] for fc in free)
+            if val.denominator != 1 or abs(val) > bound:
+                ok = False
+                break
+            vec[pc] = val
+        if not ok:
+            continue
+        r_rows = tuple(tuple(int(vec[4 * r + c]) for c in range(4)) for r in range(4))
+        if definition_check(r_rows):
+            results.append(r_rows)
+    return sorted(results)
+
+
+def ring_box_intersection(ring: EndoRing, bound: int):
+    """All ring elements with every R entry in [-bound, bound]."""
+    h = hnf(ring.basis_vecs())
+    pts = lattice_points_in_box(h, bound)
+    return sorted(tuple(tuple(v[4 * r + c] for c in range(4)) for r in range(4))
+                  for v in pts)
+
+
+def lattice_points_in_box(hnf_rows, bound):
+    """All lattice vectors (Z-combinations of HNF rows) with sup-norm <= bound.
+
+    Walks coordinates in pivot order, pruning with the pivot entries;
+    output is sorted lexicographically.
+    """
+    if not hnf_rows:
+        return [tuple()]
+    n = len(hnf_rows[0])
+    pivots = [next(k for k, v in enumerate(row) if v) for row in hnf_rows]
+    out = []
+
+    def rec(idx, partial):
+        if idx == len(hnf_rows):
+            if all(abs(v) <= bound for v in partial):
+                out.append(tuple(partial))
+            return
+        row = hnf_rows[idx]
+        p = pivots[idx]
+        # partial[p] + c * row[p] must land in [-bound, bound]; row[p] > 0
+        a = row[p]
+        cmin = _ceil_div(-bound - partial[p], a)
+        cmax = (bound - partial[p]) // a
+        for c in range(cmin, cmax + 1):
+            rec(idx + 1, [v + c * w for v, w in zip(partial, row)])
+
+    rec(0, [0] * n)
+    return sorted(out)
+
+
+def _ceil_div(a, b):
+    return -((-a) // b)
+
+
+def find_small_relation(elements, height: int = 10, precision_bits: int = 128):
+    """Search for a small integer relation among the given elements.
+
+    Returns the first coefficient vector (entries bounded by ``height``,
+    first nonzero entry positive) whose combination embeds into a box
+    containing 0 at the requested precision, or None.  A returned vector
+    is a *suspicion*, not a proof of dependence; None is a sanity screen,
+    not a proof of independence.  It tries (2 * height + 1)^n vectors, so
+    no construction path calls it: `certify_independence` is the proof.
+    """
+    elements = list(elements)
+    if not elements:
+        return None
+    field = elements[0].field
+    for e in elements[1:]:
+        field = union_field(field, e.field)
+    elements = [e.in_field(field) for e in elements]
+    boxes = [embed(e, precision_bits + 32) for e in elements]
+    mids = [b.midpoint() for b in boxes]
+    scale = max(abs(m) for m in mids) + 1.0
+    ranges = [range(-height, height + 1)] * len(elements)
+    for c in itertools.product(*ranges):
+        if all(v == 0 for v in c):
+            continue
+        first = next(v for v in c if v != 0)
+        if first < 0:
+            continue
+        approx = sum(v * m for v, m in zip(c, mids))
+        if abs(approx) > 1e-9 * scale * height:
+            continue
+        total = ComplexBox.exact(_F0)
+        for v, b in zip(c, boxes):
+            if v:
+                total = total.add(b.scale(Fraction(v)))
+        if total.contains_zero():
+            return tuple(c)
+    return None
+
+
+def real_det_from_c(t):
+    """det C for the real coordinate matrix C = [Re Pi_0; Im Pi_0; Re Pi_1; Im Pi_1]."""
+    rows = []
+    for r in range(2):
+        rows.append([t.period.entries[r, c].real_part() for c in range(4)])
+        rows.append([t.period.entries[r, c].imag_part() for c in range(4)])
+    return Mat.from_rows(rows).det()

@@ -13,12 +13,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from toruslab.endo import (
-    classify_algebra,
-    compute_endo_ring,
-    endo_box_oracle,
-    ring_box_intersection,
-)
+from toruslab.endo import classify_algebra, compute_endo_ring
 from toruslab.linalg import Mat, hnf
 from toruslab.neronseveri import compute_ns, is_algebraic, is_positive_definite
 from toruslab.papercheck import (
@@ -31,7 +26,7 @@ from toruslab.papercheck import (
 )
 
 from conftest import CBRT3_SPEC, TORI
-from oracle_helpers import oracle_ns_rank
+from oracle_helpers import endo_box_oracle, oracle_ns_rank, ring_box_intersection
 
 D_VALUES = (2, 3, 5, -1, -2, -5)
 SEEDS = tuple(range(1, 21))

@@ -389,6 +389,36 @@ def test_oversized_expression_is_an_input_error(name, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+# (path into the document, malformed value): an integer where an array
+# belongs used to end in TypeError, a list conj in "unhashable type", and
+# a string was read one character at a time ("00" as the interval [0, 0])
+_MALFORMED = {
+    "generators": (("generators",), 5),
+    "multiplications": (("multiplications",), 5),
+    "min_poly": (("generators", 0, "min_poly"), 201),
+    "root.re": (("generators", 0, "root", "re"), 1),
+    "root.im": (("generators", 0, "root", "im"), 1),
+    "conj": (("generators", 0, "conj"), ["real"]),
+    "root.im string": (("generators", 0, "root", "im"), "00"),
+}
+
+
+@pytest.mark.parametrize("name", list(_MALFORMED))
+def test_malformed_document_is_an_input_error(name, tmp_path, capsys):
+    doc = json.loads((TORI / "example1_m1.json").read_text())
+    path, value = _MALFORMED[name]
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = _run(["ns", str(bad)], capsys)
+    assert code == 2
+    assert out == ""
+    assert "input error [ValidationError]" in err
+
+
 def test_json_integer_past_the_digit_limit_is_an_input_error(tmp_path, capsys):
     text = (TORI / "example1_m1.json").read_text()
     assert '"d": -1' in text

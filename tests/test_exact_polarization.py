@@ -7,6 +7,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from toruslab import neronseveri, papercheck
+from toruslab.cli import parse_input
 from toruslab.endo import is_positive_definite
 from toruslab.errors import InvariantViolation
 from toruslab.neronseveri import (
@@ -25,7 +26,8 @@ from toruslab.papercheck import (
     verify_proposition,
 )
 
-from oracle_helpers import is_negative_semidefinite
+from conftest import TORI
+from oracle_helpers import is_negative_semidefinite, real_det_from_c
 
 _SMALL = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 
@@ -124,6 +126,19 @@ def test_real_det_is_a_quarter_of_det_p():
     for lat in _identity_lattices():
         t = lat.torus
         assert t.real_det * 4 == t.big_p.det()
+
+
+def test_real_det_matches_the_real_coordinate_matrix():
+    # real_det is det P / 4 by construction; the reference builds C itself
+    tori = [parse_input(p.read_text()).realize()[0] for p in sorted(TORI.glob("*.json"))]
+    assert len(tori) == 8
+    tori += [random_torus_with_sqrt_d(d, s)[0]
+             for d in (2, 3, 5, -1, -2, -5) for s in (3, 4)]
+    for t in tori:
+        assert t.real_det == real_det_from_c(t)
+        # a Torus built from its fields alone computes det P / 4 on first use
+        direct = type(t)(**{f: getattr(t, f) for f in type(t)._fields})
+        assert direct.real_det == t.real_det
 
 
 def test_pfaffian_identity_holds_and_catches_corruption():

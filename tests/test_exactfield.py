@@ -21,8 +21,6 @@ from toruslab.exactfield import (
     NumberField,
     embed,
     exact_sign,
-    field_arith,
-    find_small_relation,
     is_perfect_square,
     sqrt_element,
     squarefree_decomposition,
@@ -31,7 +29,7 @@ from toruslab.exactfield import (
 from toruslab.cli import parse_input
 from toruslab.endo import _real_root_count
 from conftest import TORI
-from oracle_helpers import bisection_enclosure
+from oracle_helpers import bisection_enclosure, find_small_relation
 
 CBRT2 = GeneratorSpec("r", (F(-2), F(0), F(0), F(1)),
                       (F(5, 4), F(63, 50)), (F(0), F(0)), CONJ_REAL)
@@ -79,14 +77,6 @@ def test_i_times_declared_sqrt_minus_two():
 def test_division_identity(qi):
     one_plus_i = qi.one() + qi.i()
     assert one_plus_i / one_plus_i == 1
-
-
-def test_field_arith_dispatch(qi):
-    a, b = qi.rational(F(3, 2)), qi.i()
-    assert field_arith(a, b, "add") == a + b
-    assert field_arith(a, b, "sub") == a - b
-    assert field_arith(a, b, "mul") == a * b
-    assert field_arith(a, b, "div") == a / b
 
 
 def test_division_by_zero(qi):

@@ -28,7 +28,6 @@ from toruslab.exactfield import (
     NumberField,
     certify_independence,
     embed,
-    find_small_relation,
     integer_roots,
     monic_integer,
     sqrt_element,
@@ -42,6 +41,7 @@ from toruslab.papercheck import (
 )
 
 from conftest import CBRT3_SPEC, TORI
+from oracle_helpers import find_small_relation
 
 
 def real_gen(name, poly, lo, hi):

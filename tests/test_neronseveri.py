@@ -23,9 +23,6 @@ from toruslab.neronseveri import (
     hermitian_lift,
     is_algebraic,
     is_positive_definite,
-    lambda_inverse,
-    lambda_map,
-    lambda_values,
     ns_membership_coords,
     ns_to_symmetric_endo,
     polarization_search,
@@ -221,7 +218,7 @@ def test_lambda_linear_zero(d2_lattice):
     e1, e2 = choose_sqrt_basis(torus, mult)
     f = mult.field
     coords = CanonicalFormCoords(a=f.zero(), b=f.zero())
-    assert lambda_map(torus, mult, e1, e2, coords) == (F(0), F(0))
+    assert LambdaMap(torus, mult, e1, e2).values(coords) == (F(0), F(0))
 
 
 def test_lambda_spec_lattice_roundtrip(d2_lattice):
@@ -229,8 +226,8 @@ def test_lambda_spec_lattice_roundtrip(d2_lattice):
     e1, e2 = choose_sqrt_basis(torus, mult)
     one = mult.field.one()
     coords = CanonicalFormCoords(a=one, b=one)
-    u, v = lambda_values(torus, mult, e1, e2, coords)
-    back = lambda_inverse(torus, mult, e1, e2, u, v)
+    u, v = LambdaMap(torus, mult, e1, e2).values(coords)
+    back = LambdaMap(torus, mult, e1, e2).inverse(u, v)
     assert back.a == one and back.b == one
 
 
@@ -255,7 +252,7 @@ def test_lambda_requires_basis(d2_lattice):
     e1 = (F(1), F(0), F(0), F(0))
     de1 = (F(0), F(0), F(1), F(0))   # De1 is in the Q(sqrt d) span of e1
     with pytest.raises(NotABasis):
-        lambda_map(torus, mult, e1, de1, coords)
+        LambdaMap(torus, mult, e1, de1).values(coords)
 
 
 @pytest.mark.parametrize("lattice", ["d2_lattice", "cm_product"])
@@ -266,8 +263,8 @@ def test_lambda_map_object_roundtrip(lattice, request):
     for u, v in ((F(1), F(0)), (F(-3, 4), F(5, 7)), (F(0), F(9, 2))):
         coords = lam.inverse(u, v)
         assert lam.values(coords) == (u, v)
-        assert lambda_inverse(torus, mult, e1, e2, u, v) == coords
-        assert lambda_values(torus, mult, e1, e2, coords) == (u, v)
+        assert LambdaMap(torus, mult, e1, e2).inverse(u, v) == coords
+        assert LambdaMap(torus, mult, e1, e2).values(coords) == (u, v)
     with pytest.raises(NotABasis):
         LambdaMap(torus, mult, e1, mult.r_times(e1))
 
@@ -279,8 +276,8 @@ def test_lambda_roundtrip_rational_pairs(d2_lattice, un, ud, vn, vd):
     torus, mult = d2_lattice
     e1, e2 = choose_sqrt_basis(torus, mult)
     u, v = F(un, ud), F(vn, vd)
-    coords = lambda_inverse(torus, mult, e1, e2, u, v)
-    assert lambda_map(torus, mult, e1, e2, coords) == (u, v)
+    coords = LambdaMap(torus, mult, e1, e2).inverse(u, v)
+    assert LambdaMap(torus, mult, e1, e2).values(coords) == (u, v)
 
 
 # ---------------------------------------------------------------------------
