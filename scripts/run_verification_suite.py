@@ -40,7 +40,7 @@ def main():
                     print(f"skipped d={d} seed={seed}: {claim.claim_id} "
                           f"({claim.reason})")
             if d > 0:
-                verdict = is_algebraic(torus, mults=[mult], seed=seed)
+                verdict = is_algebraic(torus, mults=[mult])
                 if verdict.status != "algebraic":
                     skipped += 1
                     print(f"no certificate d={d} seed={seed}: {verdict.status}")

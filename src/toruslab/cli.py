@@ -50,6 +50,10 @@ _INTERNAL_ERRORS = (PrecisionExhausted, NotClosed, NotStable, UnrecognizedStruct
 
 #: the longest integer literal an expression may hold, in decimal digits
 MAX_LITERAL_DIGITS = 1000
+#: the deepest nesting of parentheses an expression may hold: the parser
+#: recurses a few frames per level, so a bound on the input, not the
+#: interpreter's recursion limit, decides where parsing stops
+MAX_PAREN_DEPTH = 100
 #: the largest numerator or denominator, in bits, of every value computed
 #: while parsing: each sum, difference, product and quotient, and each
 #: square on the way to a power
@@ -78,7 +82,7 @@ class _Tokens:
 
     def _tokenize(self):
         t, n = self.text, len(self.text)
-        i = 0
+        i = depth = 0
         while i < n:
             c = t[i]
             if c.isspace():
@@ -113,6 +117,10 @@ class _Tokens:
                     i += 1
                 continue
             if c in "+-/^()":
+                depth += (c == "(") - (c == ")")
+                if depth > MAX_PAREN_DEPTH:
+                    raise ParseError(f"parentheses nested deeper than {MAX_PAREN_DEPTH} "
+                                     f"at position {i}")
                 self.toks.append(("op", c))
                 i += 1
                 continue
@@ -487,7 +495,7 @@ def _cmd_polarize(doc: TorusDocument, args) -> tuple[dict, int]:
     from .neronseveri import compute_ns, is_algebraic
 
     torus, mults = doc.realize()
-    verdict = is_algebraic(torus, mults=mults, seed=args.seed)
+    verdict = is_algebraic(torus, mults=mults)
     witnesses = {"ns_rank": compute_ns(torus).rank, "verdict": verdict.status,
                  "certificate": verdict.certificate}
     approx = {}
@@ -542,7 +550,7 @@ def _cmd_verify_cor(doc: TorusDocument, args) -> tuple[dict, int]:
     from . import papercheck
 
     torus, mults = doc.realize()
-    report = papercheck.verify_corollaries(torus, mults, seed=args.seed)
+    report = papercheck.verify_corollaries(torus, mults)
     return report.to_dict(), (1 if report.refuted() else 0)
 
 

@@ -44,8 +44,8 @@ from .linalg import (
     complete_to_unimodular,
     coords_in_rows,
     coords_in_rows_many,
+    integer_kernel,
     is_positive_definite,
-    kernel_lattice,
     monomial_rows,
     rational_kernel,
 )
@@ -144,7 +144,7 @@ def _endo_basis(t: Torus):
     pi_c, q = t.period.entries.conj(), t.right_inverse()
     conditions = [[pi_c[a, k] * q[l, b] for k in range(4) for l in range(4)]
                   for a in (0, 1) for b in (0, 1)]
-    basis_vecs = kernel_lattice(monomial_rows(conditions), 16)
+    basis_vecs = integer_kernel(monomial_rows(conditions), 16)
     id_vec = [1 if k % 5 == 0 else 0 for k in range(16)]
     coords = coords_in_rows(basis_vecs, id_vec)
     invariant(coords is not None, "identity missing from endomorphism lattice")
@@ -377,21 +377,22 @@ def _quadratic_value(ring, v):
 
 
 def _classify_commutative_quartic(ring: EndoRing) -> AlgebraClass:
-    candidates = _element_candidates(ring)
-    quartic = None
+    n = ring.rank
+    units = [[_F1 if k == j else _F0 for k in range(n)] for j in range(1, n)]
+    candidates = _small_combinations(units, ((1, 1), (1, -1), (1, 2), (2, 1)))
+    polys = []
     for v in candidates:
-        mp = min_poly_rational_matrix(ring.element_r(v))
-        if len(mp) == 5 and _is_irreducible(mp):
-            quartic = mp
+        polys.append(min_poly_rational_matrix(ring.element_r(v)))
+        if len(polys[-1]) == 5 and _is_irreducible(polys[-1]):
             break
-    if quartic is None:
+    else:
         return AlgebraClass("Other", ())
-    if _real_root_count(quartic) != 0:
+    if _real_root_count(polys[-1]) != 0:
         return AlgebraClass("Other", ())
     # totally imaginary quartic field: CM iff it has a real quadratic subfield
+    polys += [min_poly_rational_matrix(ring.element_r(v)) for v in candidates]
     subfield_discs = set()
-    for v in candidates:
-        mp = min_poly_rational_matrix(ring.element_r(v))
+    for mp in polys:
         if len(mp) == 3:
             disc = mp[1] * mp[1] - 4 * mp[0]
             if disc > 0 and _signed_squarefree(disc) != 1:
@@ -401,20 +402,13 @@ def _classify_commutative_quartic(ring: EndoRing) -> AlgebraClass:
     return AlgebraClass("Other", ())
 
 
-def _element_candidates(ring):
-    n = ring.rank
-    out = []
-    for j in range(1, n):
-        v = [_F0] * n
-        v[j] = _F1
-        out.append(v)
-    for a in range(1, n):
-        for b in range(a + 1, n):
-            for ca, cb in ((1, 1), (1, -1), (1, 2), (2, 1)):
-                v = [_F0] * n
-                v[a], v[b] = Fraction(ca), Fraction(cb)
-                out.append(v)
-    return out
+def _small_combinations(vectors, pairs):
+    """The vectors, then ca * v_a + cb * v_b for a < b and each (ca, cb) in pairs, lazily."""
+    yield from vectors
+    for a in range(len(vectors)):
+        for b in range(a + 1, len(vectors)):
+            for ca, cb in pairs:
+                yield [ca * x + cb * y for x, y in zip(vectors[a], vectors[b])]
 
 
 # ---------------------------------------------------------------------------
@@ -442,11 +436,11 @@ class RosatiData(Record):
                 for k in range(n)]
 
 
-def check_in_ns(t: Torus, m0: Mat, require_positive: bool) -> None:
-    """H0 hermitian, (optionally) positive definite, integral Im on the lattice."""
+def check_in_ns(t: Torus, m0: Mat) -> None:
+    """H0 hermitian, positive definite, with integral Im on the lattice."""
     if m0.conj_t() != m0:
         raise NotPolarization("matrix is not hermitian")
-    if require_positive and not is_positive_definite(m0):
+    if not is_positive_definite(m0):
         raise NotPolarization("hermitian form is not positive definite")
     e = lattice_form(t, m0)
     for k in range(4):
@@ -469,7 +463,7 @@ def rosati_involution(ring: EndoRing, h0) -> RosatiData:
     if not isinstance(h0, Mat):
         h0 = Mat.from_rows(h0)
     m0 = h0.map(lambda x: x.in_field(t.field))
-    check_in_ns(t, m0, require_positive=True)
+    check_in_ns(t, m0)
     m0c = m0.conj()
     m0c_inv = m0c.inv()
     images = []
@@ -558,15 +552,8 @@ def find_real_multiplication(ros: RosatiData) -> RealMultiplication:
         raise NoSuchElement("symmetric subspace is rational only")
     ring = ros.ring
     n = ring.rank
-    candidates = []
-    for v in sym_basis:
-        candidates.append(list(v))
-    for a in range(len(sym_basis)):
-        for b in range(a + 1, len(sym_basis)):
-            for ca, cb in ((1, 1), (1, -1), (1, 2), (2, 1), (1, -2), (2, -1)):
-                candidates.append([ca * x + cb * y
-                                   for x, y in zip(sym_basis[a], sym_basis[b])])
-    for coords in candidates:
+    pairs = ((1, 1), (1, -1), (1, 2), (2, 1), (1, -2), (2, -1))
+    for coords in _small_combinations(sym_basis, pairs):
         if all(coords[k] == 0 for k in range(1, n)):
             continue
         r_alpha = ring.element_r(coords)

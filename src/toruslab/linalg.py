@@ -143,10 +143,8 @@ class Mat(Record):
         return Mat(tuple(tuple(row[n:]) for row in aug))
 
     def mul_vec(self, vec):
-        """Matrix times a column vector of field elements or rationals."""
-        field = self.field
-        vec = [x.in_field(field) if isinstance(x, FieldElement) else field.rational(x)
-               for x in vec]
+        """Matrix times a column vector of rationals."""
+        vec = [self.field.rational(x) for x in vec]
         return tuple(dot(row, vec) for row in self.rows)
 
     def submatrix(self, rows, cols) -> "Mat":
@@ -255,13 +253,9 @@ def monomial_rows(conditions):
 
 def clear_denominators(row):
     """Scale a rational row to a primitive integer row."""
-    l = 1
-    for v in row:
-        l = l * v.denominator // gcd(l, v.denominator)
+    l = lcm(*(v.denominator for v in row))
     ints = [int(v * l) for v in row]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
+    g = gcd(*ints)
     if g > 1:
         ints = [v // g for v in ints]
     return ints
@@ -320,13 +314,11 @@ def hnf(rows):
                     vec[k] = -bg * ra + ag * va
     basis = [store[p] for _, p in sorted(pivot_row.items())]
     # canonical reduction: positive pivots, reduce above
-    for idx, row in enumerate(basis):
-        j = next(k for k, v in enumerate(row) if v)
-        if row[j] < 0:
-            basis[idx] = [-v for v in row]
     for idx in range(len(basis)):
         row = basis[idx]
         j = next(k for k, v in enumerate(row) if v)
+        if row[j] < 0:
+            row = basis[idx] = [-v for v in row]
         for above in range(idx):
             q = basis[above][j] // row[j]
             if q:
@@ -335,33 +327,22 @@ def hnf(rows):
 
 
 def integer_kernel(rows, ncols):
-    """Z-basis of {x in Z^n : M x = 0}; saturated by construction.
+    """Z-basis of {x in Z^n : M x = 0}, saturated, as a canonical HNF.
 
     Row-reduces [M^t | I]: the unimodular transform rows that kill the
-    M^t part are exactly the kernel vectors.
+    M^t part are exactly the kernel vectors.  They are the rows of the
+    canonical HNF with their pivot in the I part, so they are a
+    canonical HNF already.  Zero rows of M are dropped; the rows need
+    not be primitive, since scaling them does not change the kernel.
     """
-    rows = [list(r) for r in rows]
+    rows = [list(r) for r in rows if any(r)]
     m = len(rows)
     aug = []
     for c in range(ncols):
         left = [rows[r][c] for r in range(m)]
         right = [1 if k == c else 0 for k in range(ncols)]
         aug.append(left + right)
-    reduced = hnf(aug)
-    kernel = [row[m:] for row in reduced if not any(row[:m])]
-    return hnf(kernel)
-
-
-def kernel_lattice(int_rows, ncols):
-    """Saturated integer kernel of an integer matrix.
-
-    The kernel does not depend on how the rows are scaled, and the basis
-    is a canonical HNF, so rows need not be primitive.
-    """
-    int_rows = [r for r in int_rows if any(r)]
-    if not int_rows:
-        return [[1 if k == j else 0 for k in range(ncols)] for j in range(ncols)]
-    return integer_kernel(int_rows, ncols)
+    return [row[m:] for row in hnf(aug) if not any(row[:m])]
 
 
 def coords_in_rows(rows, vec):

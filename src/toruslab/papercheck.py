@@ -39,13 +39,11 @@ from .linalg import Mat, rref
 from .neronseveri import (
     CanonicalFormCoords,
     LambdaMap,
-    NSLattice,
     choose_sqrt_basis,
     compute_N_D,
     compute_ns,
     e_table,
     is_algebraic,
-    ns_for,
     pfaffian_certificate,
     polarization_search,
     transport_to_diagonal,
@@ -224,16 +222,16 @@ def _monomial_elements(field: NumberField):
 # verifiers
 # ---------------------------------------------------------------------------
 
-def verify_proposition(t: Torus, mult: MultiplicationDatum, seed: int = 0,
-                       ns: NSLattice | None = None) -> VerificationReport:
+def verify_proposition(t: Torus, mult: MultiplicationDatum,
+                       seed: int = 0) -> VerificationReport:
     """Check rank N_D = 2, the definiteness dichotomy, the value table
     and the lambda round trip for one (torus, multiplication) pair.
 
     For d > 0 the definiteness claim is verified by a certified positive
     definite form in N_D, or refuted by the Pfaffian certificate of N_D.
-    seed picks the 100 rational pairs of the lambda round trip; nothing
-    else depends on it.  ns, when given, must be NS of t
-    (ValidationError otherwise)."""
+    The value table and the round trip share one LambdaMap.  seed picks
+    the 100 rational pairs of the lambda round trip; nothing else
+    depends on it."""
     ids = ["proposition.nd-rank-2",
            "proposition.positive-definite-in-nd" if mult.d > 0
            else "proposition.antidiagonal-on-nd-basis",
@@ -243,7 +241,7 @@ def verify_proposition(t: Torus, mult: MultiplicationDatum, seed: int = 0,
         return VerificationReport(tuple(
             Claim(cid, "skipped", reason="ScalarD") for cid in ids))
     claims = []
-    nd = compute_N_D(ns_for(t, ns), mult)
+    nd = compute_N_D(compute_ns(t), mult)
     witness_nd = {"rank": nd.rank,
                   "basis_E": [[list(r) for r in alt.E] for alt, _ in nd.basis]}
     claims.append(Claim(ids[0], "verified" if nd.rank == 2 else "refuted",
@@ -268,19 +266,19 @@ def verify_proposition(t: Torus, mult: MultiplicationDatum, seed: int = 0,
             claims.append(Claim(ids[1], "verified", witness={
                 "transported": [mp.entries_str() for mp in transported]}))
     e1, e2 = choose_sqrt_basis(t, mult)
+    lam = LambdaMap(t, mult, e1, e2)
     table_ok = True
     table_witness = {}
     fld = mult.field
     for a, b in ((1, 0), (0, 1), (1, 1)):
         coords = CanonicalFormCoords(a=fld.rational(a), b=fld.rational(b))
-        values, expected, holds = e_table(t, mult, e1, e2, coords)
+        values, expected, holds = e_table(lam, coords)
         table_ok = table_ok and holds
         table_witness[f"a={a},b={b}"] = {k: str(v) for k, v in values.items()}
     claims.append(Claim(ids[2], "verified" if table_ok else "refuted",
                         witness=table_witness))
     rng = random.Random(1000003 * seed + 777)
     bad_pair = None
-    lam = LambdaMap(t, mult, e1, e2)
     for _ in range(100):
         u = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
         v = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
@@ -293,13 +291,14 @@ def verify_proposition(t: Torus, mult: MultiplicationDatum, seed: int = 0,
     return VerificationReport(tuple(claims))
 
 
-def verify_corollaries(t: Torus, mults=(), seed: int = 0) -> VerificationReport:
+def verify_corollaries(t: Torus, mults=()) -> VerificationReport:
     """Check algebraicity for d > 0 and the NS-rank / Rosati / real
     multiplication consequences when a d < 0 multiplication is present.
 
-    The report does not depend on seed, which is accepted and ignored."""
+    Every step is deterministic, so the report depends on t and mults
+    alone."""
     claims = []
-    verdict = is_algebraic(t, mults=mults, seed=seed)
+    verdict = is_algebraic(t, mults=mults)
     has_positive = any(m.d > 0 for m in mults)
     negative = [m for m in mults if m.d < 0 and not m.is_scalar]
 

@@ -57,8 +57,8 @@ def proposition_suite():
         for seed in SEEDS:
             torus, mult = random_torus_with_sqrt_d(d, seed)
             ns = compute_ns(torus)
-            report = verify_proposition(torus, mult, seed=seed, ns=ns)
-            verdict = (is_algebraic(torus, mults=[mult], seed=seed, ns=ns)
+            report = verify_proposition(torus, mult, seed=seed)
+            verdict = (is_algebraic(torus, mults=[mult], seed=seed)
                        if d > 0 else None)
             runs.append({"d": d, "seed": seed, "report": report,
                          "ns": ns, "verdict": verdict})

@@ -8,6 +8,7 @@ from fractions import Fraction as F
 import pytest
 
 from toruslab.cli import (
+    MAX_PAREN_DEPTH,
     TorusDocument,
     document_from_torus,
     parse_expression,
@@ -452,6 +453,28 @@ def test_oversized_arithmetic_is_an_input_error(name, tmp_path, capsys):
     assert out == ""
     assert "ParseError" in err
     assert "Traceback" not in err
+
+
+def _nested(chain, depth):
+    return chain * depth + "1" + ")" * depth
+
+
+@pytest.mark.parametrize("chain", ["(", "1/(", "-("])
+def test_deep_nesting_is_an_input_error(chain, tmp_path, capsys):
+    # the parser recurses per level: past the bound, the input is refused
+    # before the interpreter's recursion limit can end it in a traceback
+    f = NumberField(())
+    assert parse_expression(_nested(chain, MAX_PAREN_DEPTH), f) == f.one()
+    doc = json.loads((TORI / "example1_m1.json").read_text())
+    for depth in (MAX_PAREN_DEPTH + 1, 500, 5000):
+        doc["period"][0][2] = _nested(chain, depth)
+        bad = tmp_path / "deep.json"
+        bad.write_text(json.dumps(doc))
+        code, out, err = _run(["ns", str(bad)], capsys)
+        assert code == 2, depth
+        assert out == ""
+        assert "input error [ParseError]" in err
+        assert "Traceback" not in err
 
 
 def test_values_within_the_bound_are_exact():

@@ -1,4 +1,6 @@
 from fractions import Fraction as F
+from itertools import combinations
+from math import gcd
 
 import pytest
 import sympy
@@ -14,7 +16,6 @@ from toruslab.linalg import (
     coords_in_rows,
     hnf,
     integer_kernel,
-    kernel_lattice,
     rational_kernel,
     rref,
 )
@@ -106,7 +107,43 @@ def test_span_membership_helpers():
 
 
 def test_kernel_lattice_of_zero_system():
-    assert kernel_lattice([], 3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert integer_kernel([], 3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
+wide_int = st.one_of(small_int, small_int.map(lambda v: v * (2 ** 64 + 13)),
+                     st.integers(min_value=-2 ** 70, max_value=2 ** 70))
+
+
+@st.composite
+def integer_systems(draw):
+    """(rows, n): up to 5 rows of length n <= 5, with entries past 2^64; about
+    half get a combination of two rows (rank-deficient), and about half a zero row."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    rows = draw(st.lists(st.lists(wide_int, min_size=n, max_size=n), max_size=3))
+    if rows and draw(st.booleans()):
+        a, b = draw(small_int), draw(small_int)
+        rows.append([a * x + b * y for x, y in zip(rows[0], rows[-1])])
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(min_value=0, max_value=len(rows))), [0] * n)
+    return rows, n
+
+
+@seed(1998)
+@settings(max_examples=80, deadline=None)
+@given(integer_systems())
+def test_integer_kernel_is_a_canonical_saturated_basis(system):
+    rows, n = system
+    ker = integer_kernel(rows, n)
+    assert hnf(ker) == ker
+    for v in ker:
+        for row in rows:
+            assert sum(a * b for a, b in zip(row, v)) == 0
+    assert len(ker) == n - (sympy.Matrix(rows).rank() if rows else 0)
+    # saturated: the maximal minors of the basis are coprime
+    if ker:
+        minors = [sympy.Matrix([[row[c] for c in cols] for row in ker]).det()
+                  for cols in combinations(range(n), len(ker))]
+        assert gcd(*map(int, minors)) == 1
 
 
 # ---------------------------------------------------------------------------

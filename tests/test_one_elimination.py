@@ -126,7 +126,7 @@ def scalar1():
 
 def _polarizations(t, ns):
     """The found polarization and two non-principal NS forms."""
-    yield is_algebraic(t, ns=ns).polarization.herm.M
+    yield is_algebraic(t).polarization.herm.M
     for c in ((-3, -2, 0, -3), (-3, -1, -1, -3)):
         yield ns.combination(list(c))[1].M
 

@@ -129,7 +129,7 @@ def test_verify_corollaries_product(cm_product):
 
 def test_verify_corollaries_positive_d():
     t, m = random_torus_with_sqrt_d(3, 2)
-    report = verify_corollaries(t, [m], seed=2)
+    report = verify_corollaries(t, [m])
     by_id = {c.claim_id: c for c in report.claims}
     assert by_id["corollary1.algebraic"].status == "verified"
     assert by_id["corollary2.ns-rank-ge-3"].status == "skipped"
@@ -179,9 +179,9 @@ def test_polarization_search_runs_once(cm_product, monkeypatch):
     search = neronseveri.polarization_search
     calls = []
 
-    def counted(ns, seed=0):
-        calls.append(seed)
-        return search(ns, seed=seed)
+    def counted(ns):
+        calls.append(ns)
+        return search(ns)
 
     for mod in (neronseveri, papercheck, cli):
         monkeypatch.setattr(mod, "polarization_search", counted, raising=False)
@@ -200,8 +200,8 @@ def test_polarization_search_runs_once(cm_product, monkeypatch):
     assert len(calls) == 1
 
     ns = neronseveri.compute_ns(torus)
-    verdict = neronseveri.is_algebraic(torus, mults=[mult], ns=ns)
-    assert verdict.polarization == search(ns, seed=0)
+    verdict = neronseveri.is_algebraic(torus, mults=[mult])
+    assert verdict.polarization == search(ns)
 
 
 def test_lambda_roundtrip_refutes_a_corrupted_det_inv(monkeypatch):

@@ -3,8 +3,7 @@
 compute_ns and compute_endo_ring keep the torus-free part of their
 result on the torus (`Torus.memo`) and rebuild the record on each call.
 These tests pin what that may and may not change: the results, the
-work a second call does, the torus's lifetime, its record semantics,
-and a caller's ns, which must belong to the torus it is used with.
+work a second call does, the torus's lifetime and its record semantics.
 """
 
 import gc
@@ -14,15 +13,10 @@ import pytest
 
 from toruslab import endo, neronseveri
 from toruslab.endo import compute_endo_ring
-from toruslab.errors import ValidationError
 from toruslab.exactfield import NumberField
 from toruslab.linalg import Mat
 from toruslab.neronseveri import compute_ns, is_algebraic
-from toruslab.papercheck import (
-    random_torus_with_sqrt_d,
-    verify_corollaries,
-    verify_proposition,
-)
+from toruslab.papercheck import verify_corollaries, verify_proposition
 from toruslab.torus import PeriodMatrix, attach_multiplication, build_torus
 
 
@@ -67,14 +61,14 @@ def test_results_do_not_depend_on_what_ran_before():
 
 def test_a_second_call_computes_nothing(monkeypatch):
     counts = {}
-    _spy(monkeypatch, neronseveri, "kernel_lattice", counts)
+    _spy(monkeypatch, neronseveri, "integer_kernel", counts)
     _spy(monkeypatch, neronseveri, "hermitian_lift", counts)
-    _spy(monkeypatch, endo, "kernel_lattice", counts)
+    _spy(monkeypatch, endo, "integer_kernel", counts)
     t, mult = _cm_product()
     ns, ring = compute_ns(t), compute_endo_ring(t)
-    assert counts == {"toruslab.neronseveri.kernel_lattice": 1,
+    assert counts == {"toruslab.neronseveri.integer_kernel": 1,
                       "toruslab.neronseveri.hermitian_lift": 4,
-                      "toruslab.endo.kernel_lattice": 1}
+                      "toruslab.endo.integer_kernel": 1}
     for key in counts:
         counts[key] = 0
     assert compute_ns(t) == ns and compute_endo_ring(t) == ring
@@ -82,9 +76,9 @@ def test_a_second_call_computes_nothing(monkeypatch):
     # compute_N_D runs one kernel of its own; NS and End come from the memo
     verify_corollaries(t, [mult])
     is_algebraic(t, mults=[mult])
-    assert counts == {"toruslab.neronseveri.kernel_lattice": 1,
+    assert counts == {"toruslab.neronseveri.integer_kernel": 1,
                       "toruslab.neronseveri.hermitian_lift": 0,
-                      "toruslab.endo.kernel_lattice": 0}
+                      "toruslab.endo.integer_kernel": 0}
     # each call still returns a record of its own around the kept basis
     again = compute_ns(t)
     assert again is not ns and again.basis is ns.basis and again.torus is t
@@ -110,7 +104,7 @@ def test_a_failed_computation_keeps_nothing(monkeypatch):
         raise RuntimeError("stop")
 
     for module, name, compute in ((neronseveri, "hermitian_lift", compute_ns),
-                                  (endo, "kernel_lattice", compute_endo_ring)):
+                                  (endo, "integer_kernel", compute_endo_ring)):
         with monkeypatch.context() as m:
             m.setattr(module, name, fail)
             with pytest.raises(RuntimeError):
@@ -136,18 +130,3 @@ def test_torus_equality_hash_and_repr_ignore_the_memo():
     assert repr(warm) == before == repr(cold)
     assert warm == cold and hash(warm) == hash(cold)
     assert type(warm)._fields == ("period", "field", "J", "big_p", "big_p_inv")
-
-
-def test_foreign_ns_is_refused():
-    t1, _ = random_torus_with_sqrt_d(2, 1)
-    t2, m2 = random_torus_with_sqrt_d(3, 1)
-    foreign = compute_ns(t1)
-    with pytest.raises(ValidationError):
-        is_algebraic(t2, mults=[m2], ns=foreign)
-    with pytest.raises(ValidationError):
-        verify_proposition(t2, m2, ns=foreign)
-    # NS of an equal torus is NS of this one
-    twin, _ = random_torus_with_sqrt_d(3, 1)
-    assert twin is not t2 and twin == t2
-    assert (is_algebraic(t2, mults=[m2], ns=compute_ns(twin))
-            == is_algebraic(t2, mults=[m2]))
