@@ -63,8 +63,9 @@ MAX_VALUE_BITS = 4096
 #: (NS forms, lattice actions) are quotients of products of entries: `ns`
 #: prints integers of up to five times this sum when it sits in one entry
 #: such as 1/(P + Q*i), and 5 * 1024 bits are 1542 digits, a third of
-#: Python's 4300-digit int-to-str limit; the rest is headroom for the
-#: commands that do not finish on such entries (endo's Hermite form)
+#: Python's 4300-digit int-to-str limit.  `endo` and `classify` finish on
+#: such entries in under a second and print at most twice the sum, so the
+#: printed size, not the running time, is what the bound protects
 MAX_PERIOD_BITS = 1024
 
 
@@ -243,27 +244,44 @@ class TorusDocument(Record):
         object.__setattr__(self, "multiplications", multiplications)
 
     def field(self) -> NumberField:
-        """The declared field; a basis not certified independent is refused.
+        """The declared field, certified independent (see `parsed`)."""
+        return self.parsed()[0]
 
-        Every result over a field with a dependent monomial basis could be
-        wrong, so parsing and realizing both stop here first
-        (UncertifiedBasis, exit code 2).
+    def parsed(self):
+        """(field, period rows, multiplication rows) of field elements, once per object.
+
+        A basis not certified independent is refused first: every result
+        over a field with a dependent monomial basis could be wrong
+        (UncertifiedBasis, exit code 2).  Then every expression is parsed,
+        the period's before the total bound on its size is checked.
+        `parse_input` surfaces these errors at parse time, and `realize`
+        reuses what it kept.  Like `Torus.memo`, the value is kept in the
+        instance ``__dict__``, which equality, hashing and repr ignore, and a
+        failure keeps nothing.
         """
-        field = NumberField(self.generators)
-        certify_independence(field)
-        return field
+        kept = self.__dict__.get("_parsed")
+        if kept is None:
+            field = NumberField(self.generators)
+            certify_independence(field)
+            period = tuple(tuple(parse_expression(e, field) for e in row)
+                           for row in self.period_exprs)
+            period_bits = sum(_bits(x) for row in period for x in row)
+            if period_bits > MAX_PERIOD_BITS:
+                raise ParseError(f"the period entries total {period_bits} bits; "
+                                 f"at most {MAX_PERIOD_BITS} are allowed")
+            mults = tuple((tuple(tuple(parse_expression(e, field) for e in row)
+                                 for row in d_exprs), d)
+                          for d_exprs, d in self.multiplications)
+            kept = (field, period, mults)
+            object.__setattr__(self, "_parsed", kept)
+        return kept
 
     def realize(self):
         """Build the torus and attach every declared multiplication."""
-        field = self.field()
-        rows = [[parse_expression(e, field) for e in row] for row in self.period_exprs]
-        torus = build_torus(PeriodMatrix(Mat.from_rows(rows)))
-        mults = []
-        for d_exprs, d in self.multiplications:
-            dmat = Mat.from_rows([[parse_expression(e, field) for e in row]
-                                  for row in d_exprs])
-            mults.append(attach_multiplication(torus, dmat, d))
-        return torus, mults
+        _, period, mults = self.parsed()
+        torus = build_torus(PeriodMatrix(Mat.from_rows(period)))
+        return torus, [attach_multiplication(torus, Mat.from_rows(rows), d)
+                       for rows, d in mults]
 
     def to_json_dict(self) -> dict:
         return {
@@ -366,16 +384,7 @@ def parse_input(text: str) -> TorusDocument:
     document = TorusDocument(generators=tuple(gens), period_exprs=period_exprs,
                              multiplications=tuple(mults))
     # surface expression errors (bad names, floats, oversized periods) at parse time
-    field = document.field()
-    period_bits = sum(_bits(parse_expression(e, field))
-                      for row in document.period_exprs for e in row)
-    if period_bits > MAX_PERIOD_BITS:
-        raise ParseError(f"the period entries total {period_bits} bits; "
-                         f"at most {MAX_PERIOD_BITS} are allowed")
-    for d_exprs, _ in document.multiplications:
-        for row in d_exprs:
-            for e in row:
-                parse_expression(e, field)
+    document.parsed()
     return document
 
 

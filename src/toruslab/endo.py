@@ -537,9 +537,11 @@ class RealMultiplication(Record):
         object.__setattr__(self, "squarefree_certified", squarefree_certified)
 
 
-def find_real_multiplication(ros: RosatiData) -> RealMultiplication:
+def find_real_multiplication(ros: RosatiData, sym_basis) -> RealMultiplication:
     """A beta in the ring with beta^2 a positive nonsquare integer.
 
+    ``sym_basis`` is the basis `symmetric_subspace(ros)` returns, which a
+    caller that also reports its dimension computes once for both.
     Walks the Rosati-symmetric subspace in a deterministic order (basis
     vectors first, then small pair combinations), takes the minimal
     quadratic x^2 - t x + n of the first non-rational candidate whose
@@ -547,8 +549,7 @@ def find_real_multiplication(ros: RosatiData) -> RealMultiplication:
     2*alpha - t.  A symmetric element with discriminant <= 0 contradicts
     a proved invariant and raises NegativeDiscriminant.
     """
-    sym_basis, dim = symmetric_subspace(ros)
-    if dim < 2:
+    if len(sym_basis) < 2:
         raise NoSuchElement("symmetric subspace is rational only")
     ring = ros.ring
     n = ring.rank

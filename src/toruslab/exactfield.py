@@ -36,12 +36,14 @@ Conventions:
 * zero tests are exact coefficient comparisons; sign tests refine
   interval enclosures and never guess.
 
-A declared root box is checked once, with a Sturm count over the
-rationals (exactly one root inside, a sign change at the endpoints), and
-is then narrowed by bisection, which halves it at every step.  No
-floating-point value ever enters a coefficient.  Intervals have rational
-endpoints, so interval arithmetic here is exact and trivially
-outward-rounded.  Only the standard library is imported.
+A declared root box is checked once per generator spec object, with a
+Sturm count over the rationals (exactly one root inside, a sign change
+at the endpoints), and is then narrowed by bisection, which halves it
+at every step and runs on integer numerators over D 2^k.  The
+multiplication table is built on integers too, from integer-scaled
+power rows.  No floating-point value ever enters a coefficient.
+Intervals have rational endpoints, so interval arithmetic here is exact
+and trivially outward-rounded.  Only the standard library is imported.
 """
 
 from __future__ import annotations
@@ -118,6 +120,19 @@ class GeneratorSpec(Record):
                      for k, c in enumerate(self.min_poly))
 
     def validate(self) -> None:
+        """Raise ValidationError unless the spec is well formed; checked once per object.
+
+        A spec that passes is marked in its ``__dict__``, the way
+        `Torus.memo` keeps its values: the mark is no field, so equality,
+        hashing and repr ignore it, and an equal but distinct spec is
+        checked again.  A spec that fails keeps nothing and raises on
+        every use.
+        """
+        if "_valid" not in self.__dict__:
+            self._check()
+            object.__setattr__(self, "_valid", True)
+
+    def _check(self) -> None:
         p = self.min_poly
         if len(p) < 3:
             raise ValidationError(f"generator {self.name}: min_poly degree must be >= 2")
@@ -284,20 +299,43 @@ def _refine_real_root(coeffs, lo: Fraction, hi: Fraction, target: Fraction):
     The interval must contain exactly one root with a sign change at the
     endpoints (enforced by GeneratorSpec.validate); every step halves it,
     so the loop ends after about log2((hi - lo) / target) steps.
+
+    The bisection runs on integers.  After k steps the endpoints are
+    a / S and b / S for S = D 2^k, with D the lcm of the input
+    denominators, and the midpoint is (a + b) / (2 S).  With L the lcm of
+    the coefficient denominators, the sign of p(m / S) is that of
+    L S^n p(m / S) = sum(E_j m^j 2^(k (n - j))) for E_j = L c_j D^(n - j),
+    an integer.
     """
     if lo == hi:
         return lo, hi
-    sign_lo = _sign(_poly_eval(coeffs, lo))
-    while hi - lo > target:
-        mid = (lo + hi) / 2
-        s = _sign(_poly_eval(coeffs, mid))
+    den = math.lcm(lo.denominator, hi.denominator)
+    a = lo.numerator * (den // lo.denominator)
+    b = hi.numerator * (den // hi.denominator)
+    n = len(coeffs) - 1
+    l = math.lcm(*(c.denominator for c in coeffs))
+    scaled = [int(c * l) * den ** (n - j) for j, c in enumerate(coeffs)]
+
+    def sign_at(m, k):
+        acc = scaled[n]
+        for j in range(n - 1, -1, -1):
+            acc = acc * m + (scaled[j] << (k * (n - j)))
+        return (acc > 0) - (acc < 0)
+
+    t_num, t_den = target.numerator, target.denominator
+    sign_lo = sign_at(a, 0)
+    k = 0
+    while (b - a) * t_den > t_num * (den << k):
+        mid = a + b
+        a, b, k = a << 1, b << 1, k + 1
+        s = sign_at(mid, k)
         if s == 0:
-            return mid, mid
+            return Fraction(mid, den << k), Fraction(mid, den << k)
         if s == sign_lo:
-            lo = mid
+            a = mid
         else:
-            hi = mid
-    return lo, hi
+            b = mid
+    return Fraction(a, den << k), Fraction(b, den << k)
 
 
 # Refined axis interval per (generator, target width), and embed's
@@ -517,41 +555,48 @@ class _FieldData:
             -1 if sum(e[j] for j, g in enumerate(self.gens) if g.conj == CONJ_IMAG) % 2
             else 1
             for e in self.exps)
-        rows = [_power_rows(g.min_poly) for g in self.gens]
+        rows, dens = zip(*(_power_rows(g.min_poly) for g in self.gens))
         table = [[None] * self.size for _ in range(self.size)]
         for a, ea in enumerate(self.exps):
             for b, eb in enumerate(self.exps):
-                terms = [((), _F1)]
+                terms = [((), 1)]
                 for j in range(len(self.gens)):
                     row = rows[j][ea[j] + eb[j]]
-                    nxt = []
-                    for prefix, c in terms:
-                        for p, rc in enumerate(row):
-                            if rc:
-                                nxt.append((prefix + (p,), c * rc))
-                    terms = nxt
+                    terms = [(prefix + (p,), c * rc)
+                             for prefix, c in terms for p, rc in enumerate(row) if rc]
                 table[a][b] = tuple((self.index[exp], c) for exp, c in terms)
-        den = self.table_den = math.lcm(*(c.denominator for r in table for t in r for _, c in t))
-        self.table = [[tuple((k, int(c * den)) for k, c in t) for t in r] for r in table]
+        # every product is over prod(dens); the lcm of the reduced
+        # denominators is prod(dens) / g, for g the gcd of it and every entry
+        den = math.prod(dens)
+        g = math.gcd(den, *(c for r in table for t in r for _, c in t))
+        self.table_den = den // g
+        self.table = [[tuple((k, c // g) for k, c in t) for t in r] for r in table]
         self.i_row = self.table[self.index[tuple(int(g.name == "i") for g in self.gens)]]
 
 
-def _power_rows(min_poly: tuple[Fraction, ...]) -> list[list[Fraction]]:
+def _power_rows(min_poly: tuple[Fraction, ...]) -> tuple[list[list[int]], int]:
+    """x^e mod min_poly for e < 2d - 1 as integer rows over one denominator.
+
+    Returns (rows, den) with x^e = sum(rows[e][j] x^j) / den.  With L the
+    lcm of the coefficient denominators, each reduction step multiplies by
+    one coefficient, and x^e takes e - d + 1 <= d - 1 of them, so
+    den = L^(d - 1) clears every row and each step divides by L exactly.
+    """
     d = len(min_poly) - 1
-    neg_tail = [-min_poly[j] for j in range(d)]
-    rows = [[_F0] * d for _ in range(2 * d - 1)]
-    rows[0][0] = _F1
+    l = math.lcm(*(c.denominator for c in min_poly))
+    neg_tail = [-int(c * l) for c in min_poly[:d]]
+    den = l ** (d - 1)
+    rows = [[0] * d for _ in range(2 * d - 1)]
+    rows[0][0] = den
     for e in range(1, 2 * d - 1):
         prev = rows[e - 1]
-        cur = [_F0] * d
-        for j in range(d - 1):
-            cur[j + 1] += prev[j]
+        cur = [0] + prev[:d - 1]
         top = prev[d - 1]
         if top:
             for j in range(d):
-                cur[j] += top * neg_tail[j]
+                cur[j] += top * neg_tail[j] // l
         rows[e] = cur
-    return rows
+    return rows, den
 
 
 _FIELD_DATA_CACHE: dict[NumberField, _FieldData] = {}

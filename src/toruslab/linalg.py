@@ -8,6 +8,7 @@ pivots, reduced entries above), so ranks and bases are reproducible.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -132,15 +133,27 @@ class Mat(Record):
         return det if len(pivots) == n else self.field.zero()
 
     def inv(self) -> "Mat":
+        inverse = self.det_and_inverse()[1]
+        if inverse is None:
+            raise DegenerateLattice("singular matrix")
+        return inverse
+
+    def det_and_inverse(self) -> tuple[FieldElement, "Mat | None"]:
+        """(det M, M^-1) from one Gauss-Jordan pass over [M | I]; (0, None) when singular.
+
+        The pass normalizes each pivot row only after reading its pivot, and
+        the rows below see the same updates as in a forward elimination, so
+        the signed pivot product `eliminate` returns is det M.
+        """
         m, n = self.shape
         if m != n:
             raise ValueError("inverse of a non-square matrix")
         identity = Mat.identity(self.field, n).rows
         aug = [list(r) + list(e) for r, e in zip(self.rows, identity)]
-        pivots, _ = eliminate(aug)
+        pivots, det = eliminate(aug)
         if pivots != list(range(n)):
-            raise DegenerateLattice("singular matrix")
-        return Mat(tuple(tuple(row[n:]) for row in aug))
+            return self.field.zero(), None
+        return det, Mat(tuple(tuple(row[n:]) for row in aug))
 
     def mul_vec(self, vec):
         """Matrix times a column vector of rationals."""
@@ -279,7 +292,10 @@ def hnf(rows):
     """Canonical row Hermite normal form; zero rows dropped.
 
     Pivots are positive, entries above a pivot are reduced into
-    [0, pivot), rows ordered by pivot column.
+    [0, pivot), rows ordered by pivot column.  The stored rows are put in
+    that form after each input vector (Kannan and Bachem, SIAM J. Comput.
+    8, 1979), so entries stay near the size of the answer instead of
+    growing until a final pass.
     """
     rows = [list(map(int, r)) for r in rows if any(r)]
     if not rows:
@@ -287,8 +303,11 @@ def hnf(rows):
     ncols = len(rows[0])
     pivot_row: dict[int, int] = {}
     store: list[list[int]] = []
+    column: list[int] = []  # the pivot column of each stored row
+    order: list[int] = []   # the stored rows by pivot column
     for vec in rows:
         vec = vec[:]
+        changed = []  # the stored rows this vector changes
         j = 0
         while j < ncols:
             if vec[j] == 0:
@@ -296,8 +315,11 @@ def hnf(rows):
                 continue
             p = pivot_row.get(j)
             if p is None:
-                pivot_row[j] = len(store)
+                p = pivot_row[j] = len(store)
                 store.append(vec)
+                column.append(j)
+                changed.append(p)
+                order.insert(bisect_left(order, j, key=column.__getitem__), p)
                 break
             row = store[p]
             a, b = row[j], vec[j]
@@ -306,24 +328,42 @@ def hnf(rows):
                 for k in range(j, ncols):
                     vec[k] -= q * row[k]
             else:
+                changed.append(p)
                 g, x, y = _xgcd(a, b)
                 ag, bg = a // g, b // g
                 for k in range(j, ncols):
                     ra, va = row[k], vec[k]
                     row[k] = x * ra + y * va
                     vec[k] = -bg * ra + ag * va
-    basis = [store[p] for _, p in sorted(pivot_row.items())]
-    # canonical reduction: positive pivots, reduce above
-    for idx in range(len(basis)):
-        row = basis[idx]
-        j = next(k for k, v in enumerate(row) if v)
-        if row[j] < 0:
-            row = basis[idx] = [-v for v in row]
-        for above in range(idx):
-            q = basis[above][j] // row[j]
-            if q:
-                basis[above] = [v - q * w for v, w in zip(basis[above], row)]
-    return basis
+        if not changed:
+            continue
+        # Make every pivot positive and reduce the entries above it into
+        # [0, pivot).  The rows were in that form before the rows in
+        # `changed` changed, so the walk starts at the first changed pivot.
+        # Pivots are visited in column order, and reducing with a row
+        # changes the rows above it only from its pivot column on, so each
+        # pivot sees the final values of the rows above it.  A changed
+        # pivot row is checked against every row above it; an unchanged
+        # one only against the rows changed so far.
+        for idx in range(order.index(changed[0]), len(order)):
+            p = order[idx]
+            j, row = column[p], store[p]
+            if p in changed:
+                if row[j] < 0:
+                    row = store[p] = [-v for v in row]
+                above = order[:idx]
+            else:
+                above = [a for a in changed if column[a] < j]
+            pivot = row[j]
+            for a in above:
+                target = store[a]
+                q = target[j] // pivot
+                if q:
+                    for k in range(j, ncols):
+                        target[k] -= q * row[k]
+                    if a not in changed:
+                        changed.append(a)
+    return [store[p] for p in order]
 
 
 def integer_kernel(rows, ncols):

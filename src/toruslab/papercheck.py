@@ -346,10 +346,10 @@ def verify_corollaries(t: Torus, mults=()) -> VerificationReport:
 
     ring = compute_endo_ring(t)
     ros = rosati_involution(ring, pol.herm.M)
-    _, dim = symmetric_subspace(ros)
+    sym_basis, dim = symmetric_subspace(ros)
     claims.append(Claim(later[3], "verified" if dim >= 3 else "refuted",
                         witness={"symmetric_dimension": dim}))
-    rm = find_real_multiplication(ros)
+    rm = find_real_multiplication(ros, sym_basis)
     ok = (rm.d_prime > 1 and not is_perfect_square(rm.d_prime)
           and rm.d_dblprime > 0)
     claims.append(Claim(later[4], "verified" if ok else "refuted", witness={

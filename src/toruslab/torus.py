@@ -2,8 +2,9 @@
 
 A torus is C^2 / (Pi * Z^4) for a 2x4 period matrix Pi over a declared
 number field.  The 4x4 big period matrix P stacks Pi over its entrywise
-conjugate; invertibility of P is the lattice condition.  J is the real
-4x4 matrix of multiplication by i in lattice coordinates.
+conjugate; invertibility of P is the lattice condition, certified by the
+one Gauss-Jordan pass that also gives P^-1.  J is the real 4x4 matrix of
+multiplication by i in lattice coordinates.
 
 The rational representation lives here alone: an analytic 2x2 A and a
 4x4 R on the lattice belong together when A Pi = Pi R (`rational_rep`
@@ -109,18 +110,21 @@ class Torus(Record):
 def build_torus(period: PeriodMatrix) -> Torus:
     """Certify the lattice condition and assemble the complex structure.
 
+    One Gauss-Jordan pass over [P | I] gives both det P and P^-1.  J is
+    P^-1 diag(i, i, -i, -i) P = P^-1 [i Pi; -i conj Pi], and
+    -i conj Pi = conj(i Pi), so J is one product of P^-1 with the big
+    period matrix of i Pi.
+
     Raises DegenerateLattice when det P = 0, NotReal when J fails its
     exact realness check (inconsistent conjugation declarations).
     """
     p = period.big()
     field = p.field
-    det = p.det()
-    if det.is_zero() or exact_sign(det * det.conjugate()) <= 0:
+    det, p_inv = p.det_and_inverse()
+    if p_inv is None or exact_sign(det * det.conjugate()) <= 0:
         raise DegenerateLattice("big period matrix is singular")
-    p_inv = p.inv()
     i = field.i()
-    diag = Mat.diagonal([i, i, -i, -i])
-    j = p_inv @ diag @ p
+    j = p_inv @ PeriodMatrix(period.entries.map(lambda x: x * i)).big()
     for r in range(4):
         for c in range(4):
             if not j[r, c].is_real():

@@ -20,9 +20,18 @@ independence screen searches small integer relations among embedded
 elements; no construction path runs it, the exact certificate does that
 job.  The real-determinant reference builds det C from the real and
 imaginary parts of Pi, where the library keeps det P / 4.
+
+The last routines are the library's own earlier versions, kept verbatim
+as references: the row HNF that reduced above its pivots only in a final
+pass, root bisection on Fraction endpoints, and the multiplication table
+built from Fraction power rows.  The library now reduces after every
+input vector and bisects and builds tables on integers, with the same
+results.
 """
 
 import itertools
+import math
+import types
 from fractions import Fraction
 from itertools import combinations
 from math import isqrt
@@ -34,11 +43,13 @@ from toruslab.exactfield import (
     _box_pow,
     _field_data,
     _gen_box,
+    _poly_eval,
+    _sign,
     eliminate,
     embed,
     union_field,
 )
-from toruslab.linalg import Mat, hnf, rref
+from toruslab.linalg import Mat, _xgcd, hnf, rref
 from toruslab.torus import Torus
 
 _F0 = Fraction(0)
@@ -413,3 +424,118 @@ def real_det_from_c(t):
         rows.append([t.period.entries[r, c].real_part() for c in range(4)])
         rows.append([t.period.entries[r, c].imag_part() for c in range(4)])
     return Mat.from_rows(rows).det()
+
+
+def hnf_reduced_at_end(rows):
+    """Canonical row Hermite normal form; zero rows dropped.
+
+    Pivots are positive, entries above a pivot are reduced into
+    [0, pivot), rows ordered by pivot column.
+    """
+    rows = [list(map(int, r)) for r in rows if any(r)]
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    pivot_row: dict[int, int] = {}
+    store: list[list[int]] = []
+    for vec in rows:
+        vec = vec[:]
+        j = 0
+        while j < ncols:
+            if vec[j] == 0:
+                j += 1
+                continue
+            p = pivot_row.get(j)
+            if p is None:
+                pivot_row[j] = len(store)
+                store.append(vec)
+                break
+            row = store[p]
+            a, b = row[j], vec[j]
+            if b % a == 0:
+                q = b // a
+                for k in range(j, ncols):
+                    vec[k] -= q * row[k]
+            else:
+                g, x, y = _xgcd(a, b)
+                ag, bg = a // g, b // g
+                for k in range(j, ncols):
+                    ra, va = row[k], vec[k]
+                    row[k] = x * ra + y * va
+                    vec[k] = -bg * ra + ag * va
+    basis = [store[p] for _, p in sorted(pivot_row.items())]
+    # canonical reduction: positive pivots, reduce above
+    for idx in range(len(basis)):
+        row = basis[idx]
+        j = next(k for k, v in enumerate(row) if v)
+        if row[j] < 0:
+            row = basis[idx] = [-v for v in row]
+        for above in range(idx):
+            q = basis[above][j] // row[j]
+            if q:
+                basis[above] = [v - q * w for v, w in zip(basis[above], row)]
+    return basis
+
+
+def refine_real_root_fractions(coeffs, lo: Fraction, hi: Fraction, target: Fraction):
+    """Shrink an isolating interval to width at most ``target`` by bisection.
+
+    The interval must contain exactly one root with a sign change at the
+    endpoints (enforced by GeneratorSpec.validate); every step halves it,
+    so the loop ends after about log2((hi - lo) / target) steps.
+    """
+    if lo == hi:
+        return lo, hi
+    sign_lo = _sign(_poly_eval(coeffs, lo))
+    while hi - lo > target:
+        mid = (lo + hi) / 2
+        s = _sign(_poly_eval(coeffs, mid))
+        if s == 0:
+            return mid, mid
+        if s == sign_lo:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def power_rows_fractions(min_poly: tuple[Fraction, ...]) -> list[list[Fraction]]:
+    d = len(min_poly) - 1
+    neg_tail = [-min_poly[j] for j in range(d)]
+    rows = [[_F0] * d for _ in range(2 * d - 1)]
+    rows[0][0] = _F1
+    for e in range(1, 2 * d - 1):
+        prev = rows[e - 1]
+        cur = [_F0] * d
+        for j in range(d - 1):
+            cur[j + 1] += prev[j]
+        top = prev[d - 1]
+        if top:
+            for j in range(d):
+                cur[j] += top * neg_tail[j]
+        rows[e] = cur
+    return rows
+
+
+def field_table_fractions(field):
+    """(table, table_den) of a field's integer product table, built over Fractions."""
+    data = _field_data(field)
+    self = types.SimpleNamespace(gens=data.gens, exps=data.exps, index=data.index,
+                                 size=data.size)
+    rows = [power_rows_fractions(g.min_poly) for g in self.gens]
+    table = [[None] * self.size for _ in range(self.size)]
+    for a, ea in enumerate(self.exps):
+        for b, eb in enumerate(self.exps):
+            terms = [((), _F1)]
+            for j in range(len(self.gens)):
+                row = rows[j][ea[j] + eb[j]]
+                nxt = []
+                for prefix, c in terms:
+                    for p, rc in enumerate(row):
+                        if rc:
+                            nxt.append((prefix + (p,), c * rc))
+                terms = nxt
+            table[a][b] = tuple((self.index[exp], c) for exp, c in terms)
+    den = self.table_den = math.lcm(*(c.denominator for r in table for t in r for _, c in t))
+    self.table = [[tuple((k, int(c * den)) for k, c in t) for t in r] for r in table]
+    return self.table, self.table_den

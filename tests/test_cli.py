@@ -7,6 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from toruslab import cli
 from toruslab.cli import (
     MAX_PAREN_DEPTH,
     TorusDocument,
@@ -507,3 +508,47 @@ def test_commands_run_without_numpy():
                        text=True, env=env)
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == str([0] * 9), r.stderr
+
+
+_COMMANDS = ("endo", "classify", "ns", "nd", "polarize", "verify-prop", "verify-cor")
+
+
+@pytest.mark.parametrize("stem", ["example1_m1", "random_d2_seed1"])
+def test_each_command_parses_its_document_once(stem, monkeypatch, capsys):
+    """One certificate per command, and one parse per period and multiplication entry."""
+    doc = json.loads((TORI / f"{stem}.json").read_text())
+    entries = 8 + 4 * len(doc["multiplications"])
+    certified, parsed = [], []
+    certify, parse = cli.certify_independence, cli.parse_expression
+    monkeypatch.setattr(cli, "certify_independence",
+                        lambda field: certified.append(field) or certify(field))
+    monkeypatch.setattr(cli, "parse_expression",
+                        lambda text, field: parsed.append(text) or parse(text, field))
+    for cmd in _COMMANDS:
+        certified.clear()
+        parsed.clear()
+        assert run_command(["--json", cmd, str(TORI / f"{stem}.json")]) == 0, cmd
+        capsys.readouterr()
+        assert len(certified) == 1, cmd
+        assert len(parsed) == entries, cmd
+
+
+@pytest.mark.parametrize("cmd", ["endo", "classify"])
+def test_endo_on_a_period_entry_of_2_to_the_256(cmd, tmp_path, capsys):
+    """The Hermite form keeps its rows reduced: this took 23 s while it reduced only at the end."""
+    doc = json.loads((TORI / "example1_m1.json").read_text())
+    doc["multiplications"] = []
+    doc["period"][0][0] = "2^256"
+    path = tmp_path / "big_entry.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    assert run_command(["--json", cmd, str(path)]) == 0
+    elapsed = time.perf_counter() - start
+    report = json.loads(capsys.readouterr().out)
+    assert report["witnesses"]["classification"] == {"tag": "RationalField",
+                                                     "discriminant_data": []}
+    if cmd == "endo":
+        assert report["witnesses"]["rank"] == 1
+        assert report["witnesses"]["basis_R"] == [[[int(r == c) for c in range(4)]
+                                                   for r in range(4)]]
+    assert elapsed < 5

@@ -200,9 +200,9 @@ def test_symmetric_subspace_product(cm_product):
     torus, _ = cm_product
     ring = compute_endo_ring(torus)
     ros = rosati_involution(ring, Mat.identity(torus.field, 2))
-    _, dim = symmetric_subspace(ros)
+    basis, dim = symmetric_subspace(ros)
     assert dim >= 3
-    rm = find_real_multiplication(ros)
+    rm = find_real_multiplication(ros, basis)
     assert rm.d_prime > 1 and rm.d_dblprime > 0
     assert _mat_mul(rm.beta.R, rm.beta.R) == _scalar_mat(rm.d_dblprime)
 
@@ -216,7 +216,7 @@ def test_symmetric_dimension_one_no_real_multiplication(generic_abelian_torus):
     basis, dim = symmetric_subspace(ros)
     assert dim == 1
     with pytest.raises(NoSuchElement):
-        find_real_multiplication(ros)
+        find_real_multiplication(ros, basis)
 
 
 def test_find_real_multiplication_sqrt2_lattice():
@@ -226,7 +226,7 @@ def test_find_real_multiplication_sqrt2_lattice():
     ring = compute_endo_ring(torus)
     pol = polarization_search(compute_ns(torus))
     ros = rosati_involution(ring, pol.herm.M)
-    rm = find_real_multiplication(ros)
+    rm = find_real_multiplication(ros, symmetric_subspace(ros)[0])
     # End_Q = Q(sqrt 2): the recovered real multiplication is sqrt(2) itself
     assert rm.d_prime == 2
 

@@ -20,7 +20,7 @@ from toruslab.linalg import (
     rref,
 )
 
-from oracle_helpers import lattice_points_in_box
+from oracle_helpers import hnf_reduced_at_end, lattice_points_in_box
 
 small_int = st.integers(min_value=-6, max_value=6)
 
@@ -205,6 +205,37 @@ def matrices(draw, entries, square=False):
         a, b = draw(entries), draw(entries)
         rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[(m - 2) // 2])]
     return rows
+
+
+huge_int = st.one_of(small_int, st.integers(min_value=-2 ** 100, max_value=2 ** 100))
+
+
+@st.composite
+def huge_systems(draw):
+    """(rows, n): 1 to 8 rows of length n <= 10 with entries up to 2^100; about
+    half get a combination of two rows (rank-deficient), and about half a zero row."""
+    n = draw(st.integers(min_value=1, max_value=10))
+    rows = draw(st.lists(st.lists(huge_int, min_size=n, max_size=n), min_size=1, max_size=6))
+    if draw(st.booleans()):
+        a, b = draw(small_int), draw(small_int)
+        rows.append([a * x + b * y for x, y in zip(rows[0], rows[-1])])
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(min_value=0, max_value=len(rows))), [0] * n)
+    return rows, n
+
+
+@seed(2104)
+@settings(max_examples=150, deadline=None)
+@given(huge_systems())
+def test_hnf_and_integer_kernel_match_the_final_pass_oracle(system):
+    rows, n = system
+    assert hnf(rows) == hnf_reduced_at_end(rows)
+    # integer_kernel reads the rows of [M^t | I] with their pivot in the I part
+    nonzero = [r for r in rows if any(r)]
+    m = len(nonzero)
+    aug = [[r[c] for r in nonzero] + [int(k == c) for k in range(n)] for c in range(n)]
+    assert integer_kernel(rows, n) == [row[m:] for row in hnf_reduced_at_end(aug)
+                                       if not any(row[:m])]
 
 
 def _sym(q):

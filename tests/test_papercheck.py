@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from toruslab import cli, neronseveri, papercheck
+from toruslab import cli, endo, neronseveri, papercheck
 from toruslab.errors import (
     IndependenceSuspect,
     PerfectSquare,
@@ -22,7 +22,7 @@ from toruslab.papercheck import (
     verify_proposition,
 )
 from toruslab.torus import attach_multiplication
-from conftest import CBRT3_SPEC
+from conftest import CBRT3_SPEC, TORI
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
 
@@ -221,3 +221,15 @@ def test_lambda_roundtrip_refutes_a_corrupted_det_inv(monkeypatch):
     assert bad.status == "refuted"
     assert (F(bad.witness["u2"]), F(bad.witness["v2"])) == (
         2 * F(bad.witness["u"]), 2 * F(bad.witness["v"]))
+
+
+def test_verify_corollaries_computes_the_symmetric_subspace_once(monkeypatch):
+    calls = []
+    symmetric = endo.symmetric_subspace
+    monkeypatch.setattr(endo, "symmetric_subspace",
+                        lambda ros: calls.append(ros) or symmetric(ros))
+    t, mults = cli.parse_input((TORI / "scalar_m1.json").read_text()).realize()
+    report = verify_corollaries(t, mults)
+    assert [c.claim_id for c in report.claims if c.status == "verified"][-2:] == \
+        ["corollary3.symmetric-dim-ge-3", "corollary3.real-multiplication"]
+    assert len(calls) == 1

@@ -20,6 +20,7 @@ from toruslab.endo import (
     compute_endo_ring,
     find_real_multiplication,
     rosati_involution,
+    symmetric_subspace,
 )
 from toruslab.errors import IncompatibleGenerators, NotReal, ValidationError
 from toruslab.exactfield import ComplexBox, GeneratorSpec, NumberField, embed
@@ -71,8 +72,9 @@ CASES = {
     "EndoRing": lambda w: (w.ring, "basis", w.ring.basis[:1]),
     "AlgebraClass": lambda w: (classify_algebra(w.ring), "discriminant_data", (3,)),
     "RosatiData": lambda w: (w.ros, "H0", Mat.identity(w.ros.H0.field, 2)),
-    "RealMultiplication": lambda w: (find_real_multiplication(w.ros),
-                                     "squarefree_certified", False),
+    "RealMultiplication": lambda w: (
+        find_real_multiplication(w.ros, symmetric_subspace(w.ros)[0]),
+        "squarefree_certified", False),
     "AltForm": lambda w: (w.ns.basis[0][0], "E", w.ns.basis[1][0].E),
     "HermForm": lambda w: (w.ns.basis[0][1], "M", w.ns.basis[1][1].M),
     "NSLattice": lambda w: (w.nd, "parent_coords", None),
