@@ -12,7 +12,6 @@ from .exactfield import (  # noqa: F401
     FieldElement,
     GeneratorSpec,
     NumberField,
-    Rational,
     embed,
     exact_sign,
     sqrt_element,

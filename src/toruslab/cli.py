@@ -243,10 +243,6 @@ class TorusDocument(Record):
         object.__setattr__(self, "period_exprs", period_exprs)
         object.__setattr__(self, "multiplications", multiplications)
 
-    def field(self) -> NumberField:
-        """The declared field, certified independent (see `parsed`)."""
-        return self.parsed()[0]
-
     def parsed(self):
         """(field, period rows, multiplication rows) of field elements, once per object.
 

@@ -99,14 +99,6 @@ class EndoRing(Record):
                         out[r][s] += Fraction(c) * b.R[r][s]
         return out
 
-    def element_a(self, coords) -> Mat:
-        field = self.torus.field
-        acc = Mat.zero(field, 2, 2)
-        for c, b in zip(coords, self.basis):
-            if c:
-                acc = acc + b.A.scale(field.rational(Fraction(c)))
-        return acc
-
     def multiply_coords(self, x, y):
         """Product in the algebra, in rational coordinates."""
         n = self.rank
@@ -428,12 +420,6 @@ class RosatiData(Record):
     @property
     def rank(self) -> int:
         return self.ring.rank
-
-    def apply(self, coords):
-        """Coordinates of alpha' for alpha given in ring coordinates."""
-        n = self.rank
-        return [sum(Fraction(coords[j]) * self.involution[j][k] for j in range(n))
-                for k in range(n)]
 
 
 def check_in_ns(t: Torus, m0: Mat) -> None:

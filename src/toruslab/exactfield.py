@@ -36,7 +36,8 @@ Conventions:
 * zero tests are exact coefficient comparisons; sign tests refine
   interval enclosures and never guess.
 
-A declared root box is checked once per generator spec object, with a
+A declared root box is checked once per generator spec object (and
+`sqrt_generator_spec` keeps one object per radicand), with a
 Sturm count over the rationals (exactly one root inside, a sign change
 at the endpoints), and is then narrowed by bisection, which halves it
 at every step and runs on integer numerators over D 2^k.  The
@@ -63,8 +64,6 @@ from .errors import (
     ValidationError,
 )
 from .record import Record
-
-Rational = Fraction
 
 CONJ_REAL = "real"
 CONJ_IMAG = "imaginary-negation"
@@ -398,9 +397,6 @@ class ComplexBox(Record):
     def im(self) -> tuple[Fraction, Fraction]:
         return (self.im_lo, self.im_hi)
 
-    def width(self) -> Fraction:
-        return max(self.re_hi - self.re_lo, self.im_hi - self.im_lo)
-
     def add(self, other: "ComplexBox") -> "ComplexBox":
         return ComplexBox(self.re_lo + other.re_lo, self.re_hi + other.re_hi,
                           self.im_lo + other.im_lo, self.im_hi + other.im_hi)
@@ -418,20 +414,6 @@ class ComplexBox(Record):
                               self.im_lo * q, self.im_hi * q)
         return ComplexBox(self.re_hi * q, self.re_lo * q,
                           self.im_hi * q, self.im_lo * q)
-
-    def contains_zero(self) -> bool:
-        return self.re_lo <= 0 <= self.re_hi and self.im_lo <= 0 <= self.im_hi
-
-    def contains_box(self, other: "ComplexBox") -> bool:
-        return (self.re_lo <= other.re_lo and other.re_hi <= self.re_hi and
-                self.im_lo <= other.im_lo and other.im_hi <= self.im_hi)
-
-    def overlaps(self, other: "ComplexBox") -> bool:
-        return (self.re_lo <= other.re_hi and other.re_lo <= self.re_hi and
-                self.im_lo <= other.im_hi and other.im_lo <= self.im_hi)
-
-    def midpoint(self) -> complex:
-        return complex((self.re_lo + self.re_hi) / 2, (self.im_lo + self.im_hi) / 2)
 
 
 def _gen_box(spec: GeneratorSpec, width: Fraction) -> ComplexBox:
@@ -796,9 +778,6 @@ class FieldElement:
     def is_real(self) -> bool:
         return self.conjugate() == self
 
-    def real_part(self) -> "FieldElement":
-        return (self + self.conjugate()) * Fraction(1, 2)
-
     def imag_part(self) -> "FieldElement":
         """(x - conj(x)) / (2i) = -i * (odd part of x); a real element of the same field.
 
@@ -1158,18 +1137,27 @@ def is_perfect_square(n: int) -> bool:
     return n >= 0 and math.isqrt(n) ** 2 == n
 
 
+# One spec object per radicand, so that `GeneratorSpec.validate` checks
+# each square root once per process, at most CACHE_SIZE of them.
+_SQRT_SPEC_CACHE: dict[int, GeneratorSpec] = {}
+
+
 def sqrt_generator_spec(n0: int) -> GeneratorSpec:
     """Real generator for the positive square root of squarefree n0 > 1."""
     if n0 <= 1:
         raise ValueError("need a squarefree integer > 1")
-    r = math.isqrt(n0)
-    return GeneratorSpec(
-        name=f"sqrt{n0}",
-        min_poly=(Fraction(-n0), _F0, _F1),
-        root_re=(Fraction(r), Fraction(r + 1)),
-        root_im=(_F0, _F0),
-        conj=CONJ_REAL,
-    )
+    spec = _SQRT_SPEC_CACHE.get(n0)
+    if spec is None:
+        r = math.isqrt(n0)
+        spec = GeneratorSpec(
+            name=f"sqrt{n0}",
+            min_poly=(Fraction(-n0), _F0, _F1),
+            root_re=(Fraction(r), Fraction(r + 1)),
+            root_im=(_F0, _F0),
+            conj=CONJ_REAL,
+        )
+        _cache_put(_SQRT_SPEC_CACHE, n0, spec)
+    return spec
 
 
 def sqrt_element(field: NumberField, n: int) -> tuple[NumberField, FieldElement]:

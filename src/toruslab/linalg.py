@@ -77,9 +77,6 @@ class Mat(Record):
     def __getitem__(self, ij):
         return self.rows[ij[0]][ij[1]]
 
-    def col(self, k):
-        return tuple(r[k] for r in self.rows)
-
     def __matmul__(self, other: "Mat") -> "Mat":
         if self.shape[1] != other.shape[0]:
             raise ValueError("shape mismatch")
@@ -112,9 +109,6 @@ class Mat(Record):
 
     def conj_t(self) -> "Mat":
         return self.transpose().conj()
-
-    def is_zero(self) -> bool:
-        return all(x.is_zero() for r in self.rows for x in r)
 
     def __eq__(self, other):
         if not isinstance(other, Mat):

@@ -28,34 +28,18 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import (
-    NotABasis,
-    NotInEndo,
-    NotInND,
-    NotReal,
-    ScalarD,
-    invariant,
-)
-from .exactfield import FieldElement, dot, exact_sign, union_field
+from .errors import NotABasis, NotReal, ScalarD, invariant
+from .exactfield import FieldElement, dot, exact_sign
 from .linalg import (
     Mat,
     clear_denominators,
-    coords_in_rows,
-    coords_in_rows_many,
     integer_kernel,
     is_positive_definite,
     monomial_rows,
     rational_kernel,
-    rref,
 )
 from .record import Record
-from .torus import MultiplicationDatum, Torus, lattice_form, rational_rep
-
-# endo is imported only where the Rosati comparison runs, so that the
-# NS commands do not load it; the name below serves type checkers only
-TYPE_CHECKING = False
-if TYPE_CHECKING:
-    from .endo import RosatiData
+from .torus import MultiplicationDatum, Torus, lattice_form
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -83,16 +67,9 @@ class AltForm(Record):
             e[l][k] = -int(v)
         return AltForm(tuple(map(tuple, e)))
 
-    def upper(self) -> tuple[int, ...]:
-        return tuple(self.E[k][l] for k, l in _PAIRS)
-
     def pfaffian(self) -> int:
         e = self.E
         return e[0][1] * e[2][3] - e[0][2] * e[1][3] + e[0][3] * e[1][2]
-
-    def value(self, x, y) -> Fraction:
-        return sum(Fraction(x[k]) * self.E[k][l] * Fraction(y[l])
-                   for k in range(4) for l in range(4))
 
 
 class HermForm(Record):
@@ -269,22 +246,8 @@ def transport_to_diagonal(mult: MultiplicationDatum, h) -> Mat:
     return t.transpose() @ m @ t.conj()
 
 
-def canonical_form_coordinates(mult: MultiplicationDatum, h) -> CanonicalFormCoords:
-    mp = transport_to_diagonal(mult, h)
-    if mult.d > 0:
-        if not (mp[0, 1].is_zero() and mp[1, 0].is_zero()):
-            raise NotInND(
-                f"transported matrix has off-diagonal entries {mp[0, 1]}, {mp[1, 0]}")
-        return CanonicalFormCoords(a=mp[0, 0], b=mp[1, 1])
-    if not (mp[0, 0].is_zero() and mp[1, 1].is_zero()):
-        raise NotInND(
-            f"transported matrix has diagonal entries {mp[0, 0]}, {mp[1, 1]}")
-    top = mp[0, 1]
-    return CanonicalFormCoords(a=top.real_part(), b=top.imag_part())
-
-
 def canonical_form_matrix(mult: MultiplicationDatum, coords: CanonicalFormCoords) -> HermForm:
-    """Inverse of canonical_form_coordinates: the form in original coordinates."""
+    """The form with canonical coordinates (a, b), in original coordinates."""
     if mult.is_scalar:
         raise ScalarD("no diagonalizing coordinates for a scalar multiplication")
     field = mult.field
@@ -383,21 +346,20 @@ def e_table(lam: LambdaMap, coords: CanonicalFormCoords):
     return values, expected, holds
 
 
-def choose_sqrt_basis(t: Torus, mult: MultiplicationDatum):
-    """Deterministic Q(sqrt d)-basis (e1, e2) among the lattice generators.
+def choose_sqrt_basis(t: Torus, mult: MultiplicationDatum) -> LambdaMap:
+    """The lambda map on a deterministic Q(sqrt d)-basis (e1, e2) of generators.
 
     e1 is the first generator; e2 is the first generator for which e1, e2,
     De1, De2 span the lattice rationally (so e2 is outside span{e1, De1}).
+    Each candidate is checked once, by the LambdaMap built on it.
     """
-    e1 = [Fraction(1), _F0, _F0, _F0]
+    e1 = (_F1, _F0, _F0, _F0)
     for j in range(1, 4):
-        e2 = [_F0] * 4
-        e2[j] = _F1
+        e2 = tuple(_F1 if k == j else _F0 for k in range(4))
         try:
-            _check_sqrt_basis(mult, e1, e2)
+            return LambdaMap(t, mult, e1, e2)
         except NotABasis:
             continue
-        return tuple(e1), tuple(e2)
     raise NotABasis("no lattice generator completes a sqrt(d)-basis")
 
 
@@ -572,74 +534,3 @@ def is_algebraic(t: Torus, mults=(), seed: int = 0) -> AlgebraicityVerdict:
         "E": [list(r) for r in found.alt.E],
         "M": found.herm.M.entries_str(),
     }, polarization=found)
-
-
-# ---------------------------------------------------------------------------
-# NS -> symmetric endomorphisms
-# ---------------------------------------------------------------------------
-
-def ns_membership_coords(ns: NSLattice, h) -> list[Fraction]:
-    """Rational coordinates of a hermitian form in the NS basis, or raise."""
-    m = h.M if isinstance(h, HermForm) else h
-    t = ns.torus
-    field = union_field(t.field, m.field)
-    hf = HermForm(m.map(lambda v: v.in_field(field)))
-    e = lattice_form(t, hf.M)
-    vals = []
-    for k, l in _PAIRS:
-        if not e[k, l].is_rational():
-            raise NotInEndo("form has irrational lattice values; not in NS_Q")
-        vals.append(e[k, l].rational_value())
-    basis_rows = [[Fraction(v) for v in alt.upper()] for alt, _ in ns.basis]
-    coords = coords_in_rows(basis_rows, vals) if basis_rows else None
-    if coords is None:
-        raise NotInEndo("form is outside the rational span of NS")
-    _, recon = ns.combination(coords)
-    if recon.M != hf.M.map(lambda v: v.in_field(recon.M.field)):
-        raise NotInEndo("form matches NS on the lattice but is incompatible")
-    return coords
-
-
-def ns_to_symmetric_endo(h, ros: RosatiData, ns: NSLattice):
-    """Ring coordinates of the endomorphism with analytic matrix conj(M0)^-1 conj(M).
-
-    Verifies membership in the ring and Rosati-symmetry; asserts
-    injectivity on the NS basis and dim NS_Q = dim of the symmetric
-    subspace.
-    """
-    ns_membership_coords(ns, h)  # raises NotInEndo when h is outside NS_Q
-    (coords,) = _psi_coords(ros, [h])
-    if ros.apply(coords) != list(coords):
-        raise NotInEndo("image endomorphism is not Rosati-symmetric")
-    _verify_ns_endo_iso(ros, ns)
-    return coords
-
-
-def _psi_coords(ros: RosatiData, hs):
-    """Ring coordinates of conj(M0)^-1 conj(M) for each form, from one elimination."""
-    ring = ros.ring
-    t = ring.torus
-    field = ros.H0.field
-    m0c_inv = ros.H0.conj().inv()
-    images = []
-    for h in hs:
-        m = h.M if isinstance(h, HermForm) else h
-        r = rational_rep(t, m0c_inv @ m.map(lambda v: v.in_field(field)).conj())
-        if r is None:
-            raise NotInEndo("induced map does not act rationally on the lattice")
-        images.append([v for row in r for v in row])
-    coords = coords_in_rows_many(ring.basis_vecs(), images)
-    if any(c is None for c in coords):
-        raise NotInEndo("induced map is not in the endomorphism algebra")
-    return coords
-
-
-def _verify_ns_endo_iso(ros: RosatiData, ns: NSLattice) -> None:
-    from .endo import symmetric_subspace
-
-    images = _psi_coords(ros, [herm for _, herm in ns.basis])
-    if images:
-        _, pivots = rref(images)
-        invariant(len(pivots) == ns.rank, "NS -> End^s map is not injective on the basis")
-    _, sym_dim = symmetric_subspace(ros)
-    invariant(sym_dim == ns.rank, "dim NS_Q differs from dim End_Q^s")

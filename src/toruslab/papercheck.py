@@ -38,7 +38,6 @@ from .exactfield import (
 from .linalg import Mat, rref
 from .neronseveri import (
     CanonicalFormCoords,
-    LambdaMap,
     choose_sqrt_basis,
     compute_N_D,
     compute_ns,
@@ -99,14 +98,8 @@ class VerificationReport(Record):
     def __init__(self, claims):
         object.__setattr__(self, "claims", claims)
 
-    def all_verified(self) -> bool:
-        return all(c.status == "verified" for c in self.claims)
-
     def refuted(self):
         return [c for c in self.claims if c.status == "refuted"]
-
-    def skipped(self):
-        return [c for c in self.claims if c.status == "skipped"]
 
     def to_dict(self):
         return {"claims": [c.to_dict() for c in self.claims]}
@@ -265,8 +258,7 @@ def verify_proposition(t: Torus, mult: MultiplicationDatum,
         else:
             claims.append(Claim(ids[1], "verified", witness={
                 "transported": [mp.entries_str() for mp in transported]}))
-    e1, e2 = choose_sqrt_basis(t, mult)
-    lam = LambdaMap(t, mult, e1, e2)
+    lam = choose_sqrt_basis(t, mult)
     table_ok = True
     table_witness = {}
     fld = mult.field

@@ -51,16 +51,9 @@ class PeriodMatrix(Record):
             raise ValueError("period matrix must be 2x4")
         object.__setattr__(self, "entries", entries)
 
-    @property
-    def field(self) -> NumberField:
-        return self.entries.field
-
     def big(self) -> Mat:
         """The 4x4 big period matrix [Pi over conj(Pi)]."""
         return self.entries.stack(self.entries.conj())
-
-    def column(self, k: int):
-        return self.entries.col(k)
 
 
 class Torus(Record):
@@ -162,10 +155,6 @@ class MultiplicationDatum(Record):
         object.__setattr__(self, "diagonalizer_inv", diagonalizer_inv)
         object.__setattr__(self, "sqrt_d", sqrt_d)
         object.__setattr__(self, "field", field)
-
-    def r_matrix(self) -> Mat:
-        f = self.field
-        return Mat.from_rows([[f.rational(v) for v in row] for row in self.R])
 
     def r_times(self, coords):
         """Integer matrix action on a rational coordinate vector."""

@@ -27,6 +27,13 @@ pass, root bisection on Fraction endpoints, and the multiplication table
 built from Fraction power rows.  The library now reduces after every
 input vector and bisects and builds tables on integers, with the same
 results.
+
+The box predicates, `real_part` and the final section are maps that no
+command runs, so they live here: canonical (a, b) coordinates of a form
+in N_D (the library goes the other way, by `canonical_form_matrix`),
+ring elements as analytic matrices, the Rosati involution on
+coordinates, and the NS -> End^s map with its membership and
+isomorphism checks.
 """
 
 import itertools
@@ -36,8 +43,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import isqrt
 
-from toruslab.errors import ValidationError
-from toruslab.endo import EndoRing, _mat_mul_int, _rational_rep
+from toruslab.errors import NotInEndo, NotInND, ValidationError, invariant
+from toruslab.endo import EndoRing, _mat_mul_int, symmetric_subspace
 from toruslab.exactfield import (
     ComplexBox,
     _box_pow,
@@ -49,8 +56,14 @@ from toruslab.exactfield import (
     embed,
     union_field,
 )
-from toruslab.linalg import Mat, _xgcd, hnf, rref
-from toruslab.torus import Torus
+from toruslab.linalg import Mat, _xgcd, coords_in_rows, coords_in_rows_many, hnf, rref
+from toruslab.neronseveri import (
+    _PAIRS,
+    CanonicalFormCoords,
+    HermForm,
+    transport_to_diagonal,
+)
+from toruslab.torus import Torus, lattice_form, rational_rep
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -241,7 +254,7 @@ def rosati_rows_per_image(ring, m0):
     m0c_inv = m0c.inv()
     rows = []
     for b in ring.basis:
-        r_prime = _rational_rep(t, m0c_inv @ b.A.conj_t() @ m0c)
+        r_prime = rational_rep(t, m0c_inv @ b.A.conj_t() @ m0c)
         assert r_prime is not None
         coords = coords_one_vector([b.vec() for b in ring.basis],
                                    [v for row in r_prime for v in row])
@@ -396,7 +409,7 @@ def find_small_relation(elements, height: int = 10, precision_bits: int = 128):
         field = union_field(field, e.field)
     elements = [e.in_field(field) for e in elements]
     boxes = [embed(e, precision_bits + 32) for e in elements]
-    mids = [b.midpoint() for b in boxes]
+    mids = [complex((b.re_lo + b.re_hi) / 2, (b.im_lo + b.im_hi) / 2) for b in boxes]
     scale = max(abs(m) for m in mids) + 1.0
     ranges = [range(-height, height + 1)] * len(elements)
     for c in itertools.product(*ranges):
@@ -412,16 +425,39 @@ def find_small_relation(elements, height: int = 10, precision_bits: int = 128):
         for v, b in zip(c, boxes):
             if v:
                 total = total.add(b.scale(Fraction(v)))
-        if total.contains_zero():
+        if box_contains_zero(total):
             return tuple(c)
     return None
+
+
+def box_contains_zero(box: ComplexBox) -> bool:
+    return box.re_lo <= 0 <= box.re_hi and box.im_lo <= 0 <= box.im_hi
+
+
+def box_contains(outer: ComplexBox, inner: ComplexBox) -> bool:
+    return (outer.re_lo <= inner.re_lo and inner.re_hi <= outer.re_hi and
+            outer.im_lo <= inner.im_lo and inner.im_hi <= outer.im_hi)
+
+
+def boxes_overlap(a: ComplexBox, b: ComplexBox) -> bool:
+    return (a.re_lo <= b.re_hi and b.re_lo <= a.re_hi and
+            a.im_lo <= b.im_hi and b.im_lo <= a.im_hi)
+
+
+def box_width(box: ComplexBox) -> Fraction:
+    return max(box.re_hi - box.re_lo, box.im_hi - box.im_lo)
+
+
+def real_part(x):
+    """(x + conj x) / 2, a real element of the field of x."""
+    return (x + x.conjugate()) * Fraction(1, 2)
 
 
 def real_det_from_c(t):
     """det C for the real coordinate matrix C = [Re Pi_0; Im Pi_0; Re Pi_1; Im Pi_1]."""
     rows = []
     for r in range(2):
-        rows.append([t.period.entries[r, c].real_part() for c in range(4)])
+        rows.append([real_part(t.period.entries[r, c]) for c in range(4)])
         rows.append([t.period.entries[r, c].imag_part() for c in range(4)])
     return Mat.from_rows(rows).det()
 
@@ -539,3 +575,104 @@ def field_table_fractions(field):
     den = self.table_den = math.lcm(*(c.denominator for r in table for t in r for _, c in t))
     self.table = [[tuple((k, int(c * den)) for k, c in t) for t in r] for r in table]
     return self.table, self.table_den
+
+
+# ---------------------------------------------------------------------------
+# canonical coordinates, ring elements and the NS -> End^s map
+# ---------------------------------------------------------------------------
+
+def canonical_form_coordinates(mult, h) -> CanonicalFormCoords:
+    """(a, b) of a form in N_D; the library goes the other way, by canonical_form_matrix."""
+    mp = transport_to_diagonal(mult, h)
+    if mult.d > 0:
+        if not (mp[0, 1].is_zero() and mp[1, 0].is_zero()):
+            raise NotInND(
+                f"transported matrix has off-diagonal entries {mp[0, 1]}, {mp[1, 0]}")
+        return CanonicalFormCoords(a=mp[0, 0], b=mp[1, 1])
+    if not (mp[0, 0].is_zero() and mp[1, 1].is_zero()):
+        raise NotInND(
+            f"transported matrix has diagonal entries {mp[0, 0]}, {mp[1, 1]}")
+    top = mp[0, 1]
+    return CanonicalFormCoords(a=real_part(top), b=top.imag_part())
+
+
+def element_a(ring: EndoRing, coords) -> Mat:
+    """Analytic matrix of a rational coordinate vector of the ring."""
+    field = ring.torus.field
+    acc = Mat.zero(field, 2, 2)
+    for c, b in zip(coords, ring.basis):
+        if c:
+            acc = acc + b.A.scale(field.rational(Fraction(c)))
+    return acc
+
+
+def rosati_apply(ros, coords):
+    """Coordinates of alpha' for alpha given in ring coordinates."""
+    n = ros.rank
+    return [sum(Fraction(coords[j]) * ros.involution[j][k] for j in range(n))
+            for k in range(n)]
+
+
+def ns_membership_coords(ns, h) -> list[Fraction]:
+    """Rational coordinates of a hermitian form in the NS basis, or raise."""
+    m = h.M if isinstance(h, HermForm) else h
+    t = ns.torus
+    field = union_field(t.field, m.field)
+    hf = HermForm(m.map(lambda v: v.in_field(field)))
+    e = lattice_form(t, hf.M)
+    vals = []
+    for k, l in _PAIRS:
+        if not e[k, l].is_rational():
+            raise NotInEndo("form has irrational lattice values; not in NS_Q")
+        vals.append(e[k, l].rational_value())
+    basis_rows = [[Fraction(alt.E[k][l]) for k, l in _PAIRS] for alt, _ in ns.basis]
+    coords = coords_in_rows(basis_rows, vals) if basis_rows else None
+    if coords is None:
+        raise NotInEndo("form is outside the rational span of NS")
+    _, recon = ns.combination(coords)
+    if recon.M != hf.M.map(lambda v: v.in_field(recon.M.field)):
+        raise NotInEndo("form matches NS on the lattice but is incompatible")
+    return coords
+
+
+def ns_to_symmetric_endo(h, ros, ns):
+    """Ring coordinates of the endomorphism with analytic matrix conj(M0)^-1 conj(M).
+
+    Verifies membership in the ring and Rosati-symmetry; asserts
+    injectivity on the NS basis and dim NS_Q = dim of the symmetric
+    subspace.
+    """
+    ns_membership_coords(ns, h)  # raises NotInEndo when h is outside NS_Q
+    (coords,) = _psi_coords(ros, [h])
+    if rosati_apply(ros, coords) != list(coords):
+        raise NotInEndo("image endomorphism is not Rosati-symmetric")
+    _verify_ns_endo_iso(ros, ns)
+    return coords
+
+
+def _psi_coords(ros, hs):
+    """Ring coordinates of conj(M0)^-1 conj(M) for each form, from one elimination."""
+    ring = ros.ring
+    t = ring.torus
+    field = ros.H0.field
+    m0c_inv = ros.H0.conj().inv()
+    images = []
+    for h in hs:
+        m = h.M if isinstance(h, HermForm) else h
+        r = rational_rep(t, m0c_inv @ m.map(lambda v: v.in_field(field)).conj())
+        if r is None:
+            raise NotInEndo("induced map does not act rationally on the lattice")
+        images.append([v for row in r for v in row])
+    coords = coords_in_rows_many(ring.basis_vecs(), images)
+    if any(c is None for c in coords):
+        raise NotInEndo("induced map is not in the endomorphism algebra")
+    return coords
+
+
+def _verify_ns_endo_iso(ros, ns) -> None:
+    images = _psi_coords(ros, [herm for _, herm in ns.basis])
+    if images:
+        _, pivots = rref(images)
+        invariant(len(pivots) == ns.rank, "NS -> End^s map is not injective on the basis")
+    _, sym_dim = symmetric_subspace(ros)
+    invariant(sym_dim == ns.rank, "dim NS_Q differs from dim End_Q^s")

@@ -10,13 +10,18 @@ every use.  These checks hold without asserts in the library, so they
 also run under python -O.
 """
 
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 from math import prod
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
+from toruslab import exactfield
 from toruslab.cli import parse_input
 from toruslab.errors import DegenerateLattice, ValidationError
 from toruslab.exactfield import (
@@ -173,6 +178,7 @@ def test_integer_table_of_a_cubic_with_non_integral_coefficients():
 
 def test_each_generator_spec_is_validated_once(monkeypatch):
     NumberField(())  # i is validated here, once per process
+    monkeypatch.setattr(exactfield, "_SQRT_SPEC_CACHE", {})  # new, unchecked specs
     checked = []
     check = GeneratorSpec._check
     monkeypatch.setattr(GeneratorSpec, "_check", lambda self: checked.append(self) or check(self))
@@ -189,3 +195,34 @@ def test_each_generator_spec_is_validated_once(monkeypatch):
     with pytest.raises(ValidationError):
         field.extended((bad,))
     assert checked[3:] == [bad] * 4
+
+
+_FIRST_PROP_SWEEP_BLOCK = """
+import random
+from toruslab.exactfield import GeneratorSpec
+from toruslab.papercheck import random_torus_with_sqrt_d
+checked = []
+check = GeneratorSpec._check
+GeneratorSpec._check = lambda self: checked.append(self.name) or check(self)
+rng = random.Random("prop-sweep/1/0")
+for d in (2, -2, 3, -5, 5, -1):
+    random_torus_with_sqrt_d(d, rng.randint(1, 10 ** 6))
+print(*checked)
+"""
+
+
+def test_a_fresh_process_checks_each_square_root_once():
+    """The six tori of the first prop-sweep block share one spec per radicand.
+
+    They adjoin sqrt2, sqrt3 or sqrt5 eleven times in all; with a new spec
+    object on every call, each of those was checked again.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parent.parent / "src"),
+                    env.get("PYTHONPATH")) if p)
+    opt = ["-" + "O" * sys.flags.optimize] if sys.flags.optimize else []
+    r = subprocess.run([sys.executable, *opt, "-c", _FIRST_PROP_SWEEP_BLOCK],
+                       capture_output=True, text=True, env=env)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split() == ["i", "sqrt2", "sqrt3", "sqrt5"]

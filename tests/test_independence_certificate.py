@@ -41,7 +41,7 @@ from toruslab.papercheck import (
 )
 
 from conftest import CBRT3_SPEC, TORI
-from oracle_helpers import find_small_relation
+from oracle_helpers import box_contains_zero, find_small_relation
 
 
 def real_gen(name, poly, lo, hi):
@@ -135,7 +135,7 @@ def screen_finds(elements, height=3):
     assert rel is not None
     field = elements[0].field
     combo = sum((x * c for c, x in zip(rel, elements)), field.zero())
-    assert embed(combo, 64).contains_zero()
+    assert box_contains_zero(embed(combo, 64))
 
 
 @pytest.mark.parametrize("spec", [SQUARE_ONE, CUBE_EIGHT, CUBE_EIGHTH],
@@ -382,7 +382,7 @@ def test_commands_on_a_period_at_the_total_bound_print_exactly(tmp_path, capsys)
     path = tmp_path / "edge.json"
     path.write_text(json.dumps(doc))
     document = parse_input(path.read_text())
-    field = document.field()
+    field = document.parsed()[0]
     period_bits = sum(cli._bits(cli.parse_expression(e, field))
                       for row in document.period_exprs for e in row)
     assert 1000 < period_bits <= cli.MAX_PERIOD_BITS

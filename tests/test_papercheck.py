@@ -90,7 +90,7 @@ def test_random_torus_square_d_rejected():
 def test_verify_proposition_positive_d():
     t, m = random_torus_with_sqrt_d(3, 5)
     report = verify_proposition(t, m, seed=5)
-    assert report.all_verified()
+    assert all(c.status == "verified" for c in report.claims)
     ids = [c.claim_id for c in report.claims]
     assert "proposition.positive-definite-in-nd" in ids
 
@@ -98,7 +98,7 @@ def test_verify_proposition_positive_d():
 def test_verify_proposition_negative_d(example1_m1):
     t, m = example1_m1
     report = verify_proposition(t, m)
-    assert report.all_verified()
+    assert all(c.status == "verified" for c in report.claims)
     ids = [c.claim_id for c in report.claims]
     assert "proposition.antidiagonal-on-nd-basis" in ids
 
@@ -139,7 +139,7 @@ def test_verify_corollaries_example2_skips(example2_m1_n2):
     t, m = example2_m1_n2
     report = verify_corollaries(t, [m])
     assert not report.refuted()
-    skipped = report.skipped()
+    skipped = [c for c in report.claims if c.status == "skipped"]
     assert any(c.reason == "NotAlgebraic" for c in skipped)
 
 
@@ -195,7 +195,7 @@ def test_polarization_search_runs_once(cm_product, monkeypatch):
     assert len(calls) == 1
     calls.clear()
     report = verify_corollaries(torus, [mult])
-    assert report.skipped()[0].claim_id == "corollary1.algebraic"
+    assert [c.claim_id for c in report.claims if c.status == "skipped"][0] == "corollary1.algebraic"
     assert not report.refuted()
     assert len(calls) == 1
 
@@ -233,3 +233,22 @@ def test_verify_corollaries_computes_the_symmetric_subspace_once(monkeypatch):
     assert [c.claim_id for c in report.claims if c.status == "verified"][-2:] == \
         ["corollary3.symmetric-dim-ge-3", "corollary3.real-multiplication"]
     assert len(calls) == 1
+
+
+def test_verify_proposition_checks_each_basis_candidate_once(monkeypatch):
+    """One basis check per candidate e2 tried, and the first one that passes is kept."""
+    tried = []
+    check = neronseveri._check_sqrt_basis
+    monkeypatch.setattr(neronseveri, "_check_sqrt_basis",
+                        lambda mult, e1, e2: tried.append(e2) or check(mult, e1, e2))
+    generator = [tuple(int(k == j) for k in range(4)) for j in range(4)]
+    for d in (2, 3, 5, -1, -2, -5):
+        tried.clear()
+        assert verify_proposition(*random_torus_with_sqrt_d(d, 21)).refuted() == []
+        assert tried == [generator[1]]
+    # on the CM products e1, e2 and De1 are dependent, so e2 is the third generator
+    for stem in ("scalar_m1", "scalar_m2"):
+        t, (mult,) = cli.parse_input((TORI / f"{stem}.json").read_text()).realize()
+        tried.clear()
+        assert verify_proposition(t, mult).refuted() == []
+        assert tried == generator[1:3]

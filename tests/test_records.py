@@ -30,7 +30,6 @@ from toruslab.neronseveri import (
     AltForm,
     HermForm,
     NSLattice,
-    canonical_form_coordinates,
     compute_N_D,
     compute_ns,
     is_algebraic,
@@ -40,6 +39,7 @@ from toruslab.record import Record
 from toruslab.torus import PeriodMatrix
 
 from conftest import TORI
+from oracle_helpers import canonical_form_coordinates
 
 MODULES = (exactfield, linalg, torus, endo, neronseveri, papercheck, cli)
 

@@ -61,8 +61,8 @@ def test_attach_nonscalar_example1(example1_m1):
     torus, mult = example1_m1
     assert not mult.is_scalar
     assert mult.d == -1
-    r = mult.r_matrix()
     d_elt = mult.field.rational(-1)
+    r = Mat.from_rows([[mult.field.rational(v) for v in row] for row in mult.R])
     assert r @ r == Mat.diagonal([d_elt, d_elt, d_elt, d_elt])
     # analytic and rational representations agree on the period matrix
     pi = torus.period.entries.map(lambda x: x.in_field(mult.field))
@@ -116,11 +116,9 @@ def test_sqrt_d_basis_lattice_example1_reordered(example1_m1):
     e1 = (one, one)
     e2 = (one + r * i, r * i)
     torus2, mult2 = sqrt_d_basis_lattice(-1, e1, e2)
-    cols1 = {tuple(torus.period.column(k)) for k in range(4)}
-    cols2 = set()
-    for k in range(4):
-        col = torus2.period.column(k)
-        cols2.add(tuple(x.in_field(torus.field) for x in col))
+    cols1 = set(zip(*torus.period.entries.rows))
+    cols2 = {tuple(x.in_field(torus.field) for x in col)
+             for col in zip(*torus2.period.entries.rows)}
     # De1 = (i, -i) = column 3 of the printed matrix, De2 = column 4
     assert cols1 == cols2
     assert mult2.d == -1
