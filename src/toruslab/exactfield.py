@@ -483,9 +483,6 @@ class NumberField(Record):
     def gen_names(self) -> tuple[str, ...]:
         return tuple(g.name for g in self.generators)
 
-    def monomial_exponents(self) -> tuple[tuple[int, ...], ...]:
-        return _field_data(self).exps
-
     def zero(self) -> "FieldElement":
         return FieldElement(self, [0] * self.degree, 1)
 
@@ -508,13 +505,6 @@ class NumberField(Record):
 
     def i(self) -> "FieldElement":
         return self.gen("i")
-
-    def element(self, coeff_map: dict[tuple[int, ...], Fraction]) -> "FieldElement":
-        data = _field_data(self)
-        coeffs = [_F0] * data.size
-        for exp, c in coeff_map.items():
-            coeffs[data.index[exp]] = c
-        return FieldElement(self, coeffs)
 
     def extended(self, extra: tuple[GeneratorSpec, ...]) -> "NumberField":
         return NumberField(self.generators + tuple(extra))
@@ -876,6 +866,8 @@ def frac_str(q: Fraction) -> str:
 def _field_div(a: FieldElement, b: FieldElement) -> FieldElement:
     if b.is_zero():
         raise DivisionByZero("division by the zero element")
+    if a.is_zero():
+        return a
     if b.is_rational():  # a * b.den / q, over the positive a.den * q^2
         q = b.num[0]
         return FieldElement(a.field, [x * b.den * q for x in a.num], a.den * q * q)

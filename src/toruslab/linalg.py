@@ -91,9 +91,6 @@ class Mat(Record):
         return Mat.from_rows([[a - b for a, b in zip(ra, rb)]
                               for ra, rb in zip(self.rows, other.rows)])
 
-    def __neg__(self) -> "Mat":
-        return self.map(lambda x: -x)
-
     def scale(self, s) -> "Mat":
         return self.map(lambda x: x * s)
 

@@ -490,8 +490,8 @@ class AlgebraicityVerdict(Record):
 
 
 def orientation_sign(t: Torus) -> int:
-    """Sign of the determinant of the real coordinate matrix of the lattice."""
-    return exact_sign(t.real_det)
+    """Sign of det C for the real coordinate matrix C, as `build_torus` certified it."""
+    return t.orientation
 
 
 def is_algebraic(t: Torus, mults=(), seed: int = 0) -> AlgebraicityVerdict:

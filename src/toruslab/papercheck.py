@@ -28,6 +28,7 @@ from .errors import (
     UncertifiedBasis,
 )
 from .exactfield import (
+    FieldElement,
     GeneratorSpec,
     NumberField,
     certify_independence,
@@ -184,15 +185,12 @@ def random_torus_with_sqrt_d(d: int, seed: int):
     extra = next(p for p in (2, 3, 5, 7, 11) if p != d0)
     field, _ = sqrt_element(field, extra)
     rng = random.Random(seed)
-    monomials = _monomial_elements(field)
+    n = field.degree
 
     def draw_element():
-        acc = field.zero()
-        for mono in monomials:
-            c = Fraction(rng.randint(-2, 2), rng.choice((1, 2)))
-            if c:
-                acc = acc + mono * c
-        return acc
+        # coefficient k, in monomial order, is randint(-2, 2) / choice((1, 2))
+        return FieldElement(field, [rng.randint(-2, 2) * (2 // rng.choice((1, 2)))
+                                    for _ in range(n)], 2)
 
     for _ in range(16):
         e1 = (draw_element(), draw_element())
@@ -202,13 +200,6 @@ def random_torus_with_sqrt_d(d: int, seed: int):
         except DegenerateLattice:
             continue
     raise GenerationFailed(f"16 degenerate draws for d={d}, seed={seed}")
-
-
-def _monomial_elements(field: NumberField):
-    out = []
-    for exp in field.monomial_exponents():
-        out.append(field.element({exp: Fraction(1)}))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,9 @@ from the annotated field names, equality and hashing over the field
 values, a ``Name(field=value, ...)`` repr, and assignment and deletion
 that raise AttributeError.  No code is generated at class creation.
 Instances keep a ``__dict__``: `NumberField` caches its tables there,
-and `Torus`, through `Torus.memo`, its real determinant, the NS basis
-and the endomorphism ring's basis and structure constants, each computed
-once per torus object.  What is kept there is no field, so
+and `Torus`, through `Torus.memo`, its real determinant and its sign,
+the NS basis and the endomorphism ring's basis and structure constants,
+each computed once per torus object.  What is kept there is no field, so
 equality, hashing and repr ignore it, and it holds no reference back to
 the instance, which refcounting then frees with its last reference.
 """

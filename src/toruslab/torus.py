@@ -2,9 +2,13 @@
 
 A torus is C^2 / (Pi * Z^4) for a 2x4 period matrix Pi over a declared
 number field.  The 4x4 big period matrix P stacks Pi over its entrywise
-conjugate; invertibility of P is the lattice condition, certified by the
-one Gauss-Jordan pass that also gives P^-1.  J is the real 4x4 matrix of
-multiplication by i in lattice coordinates.
+conjugate; invertibility of P is the lattice condition.  P = M C for the
+real coordinate matrix C = [Re Pi_0; Im Pi_0; Re Pi_1; Im Pi_1] and the
+constant M of rows (1, i, 0, 0), (0, 0, 1, i), (1, -i, 0, 0), (0, 0, 1, -i),
+det M = 4 (Birkenhake and Lange, Complex Tori, 1999), so the lattice is
+certified by one Gauss-Jordan pass over the real C, which also gives
+P^-1.  J is the real 4x4 matrix of multiplication by i in lattice
+coordinates.
 
 The rational representation lives here alone: an analytic 2x2 A and a
 4x4 R on the lattice belong together when A Pi = Pi R (`rational_rep`
@@ -92,42 +96,56 @@ class Torus(Record):
 
     @property
     def real_det(self) -> FieldElement:
-        """det C for the real coordinate matrix C = [Re Pi_0; Im Pi_0; Re Pi_1; Im Pi_1].
+        """det C = det P / 4, kept by `build_torus` from the elimination that certifies C."""
+        return self._real_det
 
-        P = M C with det M = 4, so det C = det P / 4; `build_torus` keeps it
-        from the det P it certifies.  Its sign orients the lattice.
-        """
-        return self.memo("_real_det", lambda: self.big_p.det() * Fraction(1, 4))
+    @property
+    def orientation(self) -> int:
+        """The sign of `real_det`, which orients the lattice; `build_torus` certifies it."""
+        return self._orientation
+
+
+_HALF = Fraction(1, 2)
 
 
 def build_torus(period: PeriodMatrix) -> Torus:
     """Certify the lattice condition and assemble the complex structure.
 
-    One Gauss-Jordan pass over [P | I] gives both det P and P^-1.  J is
-    P^-1 diag(i, i, -i, -i) P = P^-1 [i Pi; -i conj Pi], and
-    -i conj Pi = conj(i Pi), so J is one product of P^-1 with the big
-    period matrix of i Pi.
+    C's entries use only the real monomials of the field, and one
+    Gauss-Jordan pass over [C | I] gives det C = det P / 4 and C^-1.  Then
+    P^-1 = C^-1 M^-1 = [Pi^+ | conj Pi^+] with Pi^+[:, k] =
+    (C^-1[:, 2k] - i C^-1[:, 2k+1]) / 2, and J = P^-1 diag(i, i, -i, -i) P
+    = C^-1 (J_0 C), where J_0 C, the real coordinate matrix of i Pi, has
+    the rows -Im Pi_0, Re Pi_0, -Im Pi_1, Re Pi_1.
 
-    Raises DegenerateLattice when det P = 0, NotReal when J fails its
+    Raises DegenerateLattice when det C = 0, NotReal when J fails its
     exact realness check (inconsistent conjugation declarations).
     """
-    p = period.big()
-    field = p.field
-    det, p_inv = p.det_and_inverse()
-    if p_inv is None or exact_sign(det * det.conjugate()) <= 0:
+    field = period.entries.field
+    period = PeriodMatrix(period.entries.map(lambda x: x.in_field(field)))
+    c_rows = []
+    for row in period.entries.rows:
+        c_rows.append(tuple((x + x.conjugate()) * _HALF for x in row))
+        c_rows.append(tuple(x.imag_part() for x in row))
+    det, c_inv = Mat(tuple(c_rows)).det_and_inverse()
+    sign = exact_sign(det)
+    if sign == 0:
         raise DegenerateLattice("big period matrix is singular")
     i = field.i()
-    j = p_inv @ PeriodMatrix(period.entries.map(lambda x: x * i)).big()
+    plus = [[(r[2 * k] - i * r[2 * k + 1]) * _HALF for k in range(2)] for r in c_inv.rows]
+    p_inv = Mat(tuple((a, b, a.conjugate(), b.conjugate()) for a, b in plus))
+    re0, im0, re1, im1 = c_rows
+    j = c_inv @ Mat((tuple(-x for x in im0), re0, tuple(-x for x in im1), re1))
     for r in range(4):
         for c in range(4):
             if not j[r, c].is_real():
                 raise NotReal(
                     f"complex structure entry ({r},{c}) = {j[r, c]} is not real")
-    minus_id = Mat.identity(field, 4).scale(-1)
-    invariant(j @ j == minus_id, "complex structure does not square to -1")
-    period = PeriodMatrix(period.entries.map(lambda x: x.in_field(field)))
-    t = Torus(period=period, field=field, J=j, big_p=p, big_p_inv=p_inv)
-    t.memo("_real_det", lambda: det * Fraction(1, 4))
+    invariant(j @ j == Mat.diagonal([field.rational(-1)] * 4),
+              "complex structure does not square to -1")
+    t = Torus(period=period, field=field, J=j, big_p=period.big(), big_p_inv=p_inv)
+    t.memo("_real_det", lambda: det)
+    t.memo("_orientation", lambda: sign)
     return t
 
 

@@ -18,35 +18,50 @@ commutation J R = R J, a different formulation from the ring computation,
 and the ring side lists its own elements in the same box.  The numeric
 independence screen searches small integer relations among embedded
 elements; no construction path runs it, the exact certificate does that
-job.  The real-determinant reference builds det C from the real and
-imaginary parts of Pi, where the library keeps det P / 4.
+job.  The real-determinant reference takes det C by a forward
+elimination, where the library keeps it from its Gauss-Jordan pass.
 
 The last routines are the library's own earlier versions, kept verbatim
 as references: the row HNF that reduced above its pivots only in a final
-pass, root bisection on Fraction endpoints, and the multiplication table
-built from Fraction power rows.  The library now reduces after every
-input vector and bisects and builds tables on integers, with the same
-results.
+pass, root bisection on Fraction endpoints, the multiplication table
+built from Fraction power rows, the torus construction that eliminated
+over the big period matrix P, and the seeded draw that summed monomial
+multiples.  The library now reduces after every input vector, bisects
+and builds tables on integers, eliminates over the real coordinate
+matrix C and draws each element as one coefficient vector, with the
+same results.
 
-The box predicates, `real_part` and the final section are maps that no
-command runs, so they live here: canonical (a, b) coordinates of a form
-in N_D (the library goes the other way, by `canonical_form_matrix`),
-ring elements as analytic matrices, the Rosati involution on
-coordinates, and the NS -> End^s map with its membership and
-isomorphism checks.
+The box predicates, `real_part`, the monomial helpers and the final
+section are maps that no command runs, so they live here: canonical
+(a, b) coordinates of a form in N_D (the library goes the other way, by
+`canonical_form_matrix`), ring elements as analytic matrices, the Rosati
+involution on coordinates, and the NS -> End^s map with its membership
+and isomorphism checks.
 """
 
 import itertools
 import math
+import random
 import types
 from fractions import Fraction
 from itertools import combinations
 from math import isqrt
 
-from toruslab.errors import NotInEndo, NotInND, ValidationError, invariant
+from toruslab.errors import (
+    DegenerateLattice,
+    GenerationFailed,
+    NotInEndo,
+    NotInND,
+    NotReal,
+    PerfectSquare,
+    ValidationError,
+    invariant,
+)
 from toruslab.endo import EndoRing, _mat_mul_int, symmetric_subspace
 from toruslab.exactfield import (
     ComplexBox,
+    FieldElement,
+    NumberField,
     _box_pow,
     _field_data,
     _gen_box,
@@ -54,6 +69,10 @@ from toruslab.exactfield import (
     _sign,
     eliminate,
     embed,
+    exact_sign,
+    is_perfect_square,
+    sqrt_element,
+    squarefree_decomposition,
     union_field,
 )
 from toruslab.linalg import Mat, _xgcd, coords_in_rows, coords_in_rows_many, hnf, rref
@@ -63,7 +82,7 @@ from toruslab.neronseveri import (
     HermForm,
     transport_to_diagonal,
 )
-from toruslab.torus import Torus, lattice_form, rational_rep
+from toruslab.torus import PeriodMatrix, Torus, lattice_form, rational_rep, sqrt_d_basis_lattice
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -575,6 +594,81 @@ def field_table_fractions(field):
     den = self.table_den = math.lcm(*(c.denominator for r in table for t in r for _, c in t))
     self.table = [[tuple((k, int(c * den)) for k, c in t) for t in r] for r in table]
     return self.table, self.table_den
+
+
+def monomial_exponents(field):
+    """The exponent vectors of the field's monomial basis, in basis order."""
+    return _field_data(field).exps
+
+
+def field_element(field, coeff_map):
+    """The element sum(c * monomial(exp)) for a map exp -> c of rational coefficients."""
+    data = _field_data(field)
+    coeffs = [_F0] * data.size
+    for exp, c in coeff_map.items():
+        coeffs[data.index[exp]] = c
+    return FieldElement(field, coeffs)
+
+
+def build_torus_from_big_p(period: PeriodMatrix) -> Torus:
+    """`build_torus` as it was, over the big period matrix P.
+
+    One Gauss-Jordan pass over [P | I] gives both det P and P^-1.  J is
+    P^-1 diag(i, i, -i, -i) P = P^-1 [i Pi; -i conj Pi], and
+    -i conj Pi = conj(i Pi), so J is one product of P^-1 with the big
+    period matrix of i Pi.
+
+    Raises DegenerateLattice when det P = 0, NotReal when J fails its
+    exact realness check (inconsistent conjugation declarations).
+    """
+    p = period.big()
+    field = p.field
+    det, p_inv = p.det_and_inverse()
+    if p_inv is None or exact_sign(det * det.conjugate()) <= 0:
+        raise DegenerateLattice("big period matrix is singular")
+    i = field.i()
+    j = p_inv @ PeriodMatrix(period.entries.map(lambda x: x * i)).big()
+    for r in range(4):
+        for c in range(4):
+            if not j[r, c].is_real():
+                raise NotReal(
+                    f"complex structure entry ({r},{c}) = {j[r, c]} is not real")
+    minus_id = Mat.identity(field, 4).scale(-1)
+    invariant(j @ j == minus_id, "complex structure does not square to -1")
+    period = PeriodMatrix(period.entries.map(lambda x: x.in_field(field)))
+    t = Torus(period=period, field=field, J=j, big_p=p, big_p_inv=p_inv)
+    t.memo("_real_det", lambda: det * Fraction(1, 4))
+    return t
+
+
+def random_torus_by_monomial_sums(d: int, seed: int):
+    """`random_torus_with_sqrt_d`, drawing each element as a sum of monomial multiples."""
+    if d == 0 or (d > 0 and is_perfect_square(d)):
+        raise PerfectSquare(f"d = {d} is a square")
+    field = NumberField(())
+    field, _ = sqrt_element(field, abs(d))
+    _, d0, _ = squarefree_decomposition(abs(d))
+    extra = next(p for p in (2, 3, 5, 7, 11) if p != d0)
+    field, _ = sqrt_element(field, extra)
+    rng = random.Random(seed)
+    monomials = [field_element(field, {exp: Fraction(1)}) for exp in monomial_exponents(field)]
+
+    def draw_element():
+        acc = field.zero()
+        for mono in monomials:
+            c = Fraction(rng.randint(-2, 2), rng.choice((1, 2)))
+            if c:
+                acc = acc + mono * c
+        return acc
+
+    for _ in range(16):
+        e1 = (draw_element(), draw_element())
+        e2 = (draw_element(), draw_element())
+        try:
+            return sqrt_d_basis_lattice(d, e1, e2)
+        except DegenerateLattice:
+            continue
+    raise GenerationFailed(f"16 degenerate draws for d={d}, seed={seed}")
 
 
 # ---------------------------------------------------------------------------

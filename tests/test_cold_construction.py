@@ -1,10 +1,11 @@
 """Cold torus construction: one elimination, one validation, integer bisection and tables.
 
-`build_torus` takes det P and P^-1 from one Gauss-Jordan pass and J from
-one product; they must equal `Mat.det`, `Mat.inv` and the product
-P^-1 diag(i, i, -i, -i) P.  Root bisection on integers must return the
-endpoints the Fraction bisection in oracle_helpers returns, and the
-integer product table the table built from Fraction power rows.  A
+`build_torus` takes det C, P^-1 and J from one Gauss-Jordan pass over the
+real coordinate matrix C; they must equal det P / 4 by `Mat.det`,
+`Mat.inv` and the product P^-1 diag(i, i, -i, -i) P.  Root bisection on
+integers must return the endpoints the Fraction bisection in
+oracle_helpers returns, and the integer product table the table built
+from Fraction power rows.  A
 generator spec is validated once per object, and a bad one raises on
 every use.  These checks hold without asserts in the library, so they
 also run under python -O.

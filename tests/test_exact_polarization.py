@@ -124,16 +124,15 @@ def test_real_det_is_a_quarter_of_det_p():
 
 
 def test_real_det_matches_the_real_coordinate_matrix():
-    # real_det is det P / 4 by construction; the reference builds C itself
+    # build_torus keeps det C from its elimination; the reference builds C and takes det
     tori = [parse_input(p.read_text()).realize()[0] for p in sorted(TORI.glob("*.json"))]
     assert len(tori) == 8
     tori += [random_torus_with_sqrt_d(d, s)[0]
              for d in (2, 3, 5, -1, -2, -5) for s in (3, 4)]
     for t in tori:
         assert t.real_det == real_det_from_c(t)
-        # a Torus built from its fields alone computes det P / 4 on first use
-        direct = type(t)(**{f: getattr(t, f) for f in type(t)._fields})
-        assert direct.real_det == t.real_det
+        # P = M C with det M = 4
+        assert t.big_p.det() * F(1, 4) == t.real_det
 
 
 def test_pfaffian_identity_holds_and_catches_corruption():

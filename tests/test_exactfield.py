@@ -35,7 +35,9 @@ from oracle_helpers import (
     box_contains_zero,
     box_width,
     boxes_overlap,
+    field_element,
     find_small_relation,
+    monomial_exponents,
     real_part,
 )
 
@@ -76,7 +78,7 @@ def test_i_times_declared_sqrt_minus_two():
     f = NumberField((SQRTM2,))
     i, s = f.i(), f.gen("s")
     prod = i * s
-    assert prod == f.element({(1, 1): F(1)})     # the monomial i*s itself
+    assert prod == field_element(f, {(1, 1): F(1)})     # the monomial i*s itself
     assert prod * prod == 2                      # (-1) * (-2)
     # brute-force: both sides embed into overlapping 50-bit boxes
     assert boxes_overlap(embed(prod * prod, 50), embed(f.rational(2), 50))
@@ -267,7 +269,7 @@ def test_multiquadratic_monomials_pass_screen():
     f = NumberField(())
     for n in (2, 3):
         f, _ = sqrt_element(f, n)
-    monomials = [f.element({e: F(1)}) for e in f.monomial_exponents()]
+    monomials = [field_element(f, {e: F(1)}) for e in monomial_exponents(f)]
     assert find_small_relation(monomials, height=2, precision_bits=128) is None
 
 
@@ -299,8 +301,8 @@ def test_multiquadratic_height_ten_screen():
     for n in (2, 3):
         f, _ = sqrt_element(f, n)
     real, imag = [], []
-    for exp, mono in zip(f.monomial_exponents(),
-                         [f.element({e: F(1)}) for e in f.monomial_exponents()]):
+    for exp, mono in zip(monomial_exponents(f),
+                         [field_element(f, {e: F(1)}) for e in monomial_exponents(f)]):
         (imag if not mono.is_real() else real).append(mono)
     assert len(real) == len(imag) == 4
     assert find_small_relation(real, height=10, precision_bits=128) is None

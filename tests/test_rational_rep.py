@@ -17,6 +17,7 @@ from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from conftest import TORI
+from oracle_helpers import field_element, monomial_exponents
 from toruslab.cli import parse_input
 from toruslab.endo import compute_endo_ring
 from toruslab.errors import InvariantViolation, NotAnEndomorphism
@@ -45,10 +46,10 @@ def _generic_matrix(field, rng):
     """A 2x2 matrix of small rational combinations of the field's monomials."""
     def entry():
         acc = field.zero()
-        for exp in field.monomial_exponents():
+        for exp in monomial_exponents(field):
             c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
             if c:
-                acc = acc + field.element({exp: c})
+                acc = acc + field_element(field, {exp: c})
         return acc
     return Mat.from_rows([[entry(), entry()], [entry(), entry()]])
 
