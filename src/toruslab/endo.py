@@ -133,7 +133,7 @@ def compute_endo_ring(t: Torus) -> EndoRing:
 
 
 def _endo_basis(t: Torus):
-    pi_c, q = t.period.entries.conj(), t.right_inverse()
+    pi_c, q = t.period.entries.conj(), t.pi_plus
     conditions = [[pi_c[a, k] * q[l, b] for k in range(4) for l in range(4)]
                   for a in (0, 1) for b in (0, 1)]
     basis_vecs = integer_kernel(monomial_rows(conditions), 16)
@@ -409,12 +409,10 @@ def _small_combinations(vectors, pairs):
 
 class RosatiData(Record):
     ring: EndoRing
-    H0: Mat                                   # positive definite hermitian matrix
     involution: tuple[tuple[Fraction, ...], ...]  # row j = coords of basis_j'
 
-    def __init__(self, ring, H0, involution):
+    def __init__(self, ring, involution):
         object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "H0", H0)
         object.__setattr__(self, "involution", involution)
 
     @property
@@ -462,7 +460,7 @@ def rosati_involution(ring: EndoRing, h0) -> RosatiData:
     rows = coords_in_rows_many(ring.basis_vecs(), images)
     if any(c is None for c in rows):
         raise NotStable("Rosati image left the endomorphism algebra")
-    ros = RosatiData(ring=ring, H0=m0, involution=tuple(map(tuple, rows)))
+    ros = RosatiData(ring=ring, involution=tuple(map(tuple, rows)))
     _verify_involution(ros)
     return ros
 

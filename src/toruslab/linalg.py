@@ -151,16 +151,6 @@ class Mat(Record):
         vec = [self.field.rational(x) for x in vec]
         return tuple(dot(row, vec) for row in self.rows)
 
-    def submatrix(self, rows, cols) -> "Mat":
-        return Mat(tuple(tuple(self.rows[i][j] for j in cols) for i in rows))
-
-    def stack(self, other: "Mat") -> "Mat":
-        if self.field != other.field:
-            f = union_field(self.field, other.field)
-            return self.map(lambda x: x.in_field(f)).stack(
-                other.map(lambda x: x.in_field(f)))
-        return Mat(self.rows + other.rows)
-
     def entries_str(self):
         return [[str(x) for x in r] for r in self.rows]
 

@@ -1,7 +1,7 @@
 """Neron-Severi lattices of hermitian forms and polarization search.
 
 NS(T) is the lattice of integral alternating forms E on the lattice
-coordinates satisfying J^t E J = E.  With Pi^+ = Torus.right_inverse(),
+coordinates satisfying J^t E J = E.  With Pi^+ = Torus.pi_plus,
 P^-1 = [Pi^+ | conj Pi^+], so E is J-compatible exactly when the one
 free entry of (Pi^+)^t E Pi^+ vanishes: one field-valued linear
 condition on the six upper entries of E.  Each E carries its hermitian
@@ -158,7 +158,7 @@ def compute_ns(t: Torus) -> NSLattice:
 
 
 def _ns_basis(t: Torus):
-    q = t.right_inverse()
+    q = t.pi_plus
     minors = [q[k, 0] * q[l, 1] - q[l, 0] * q[k, 1] for k, l in _PAIRS]
     basis_upper = integer_kernel(monomial_rows([minors]), 6)
     pairs = []
@@ -176,7 +176,7 @@ def hermitian_lift(t: Torus, alt: AltForm) -> HermForm:
     fails for an E outside NS.
     """
     field = t.field
-    q = t.right_inverse()
+    q = t.pi_plus
     e_f = Mat.from_rows([[field.rational(v) for v in row] for row in alt.E])
     herm = HermForm((q.transpose() @ e_f @ q.conj()).scale(field.i() * 2))
     e = lattice_form(t, herm.M)

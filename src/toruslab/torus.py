@@ -6,9 +6,9 @@ conjugate; invertibility of P is the lattice condition.  P = M C for the
 real coordinate matrix C = [Re Pi_0; Im Pi_0; Re Pi_1; Im Pi_1] and the
 constant M of rows (1, i, 0, 0), (0, 0, 1, i), (1, -i, 0, 0), (0, 0, 1, -i),
 det M = 4 (Birkenhake and Lange, Complex Tori, 1999), so the lattice is
-certified by one Gauss-Jordan pass over the real C, which also gives
-P^-1.  J is the real 4x4 matrix of multiplication by i in lattice
-coordinates.
+certified by one Gauss-Jordan pass over the real C.  A torus keeps what
+the program reads from that pass: the right inverse Pi^+ (the first two
+columns of P^-1 = [Pi^+ | conj Pi^+]), det C and its sign.
 
 The rational representation lives here alone: an analytic 2x2 A and a
 4x4 R on the lattice belong together when A Pi = Pi R (`rational_rep`
@@ -28,7 +28,6 @@ from fractions import Fraction
 from .errors import (
     DegenerateLattice,
     NotAnEndomorphism,
-    NotReal,
     NotSquareRootOfD,
     PerfectSquare,
     invariant,
@@ -55,28 +54,20 @@ class PeriodMatrix(Record):
             raise ValueError("period matrix must be 2x4")
         object.__setattr__(self, "entries", entries)
 
-    def big(self) -> Mat:
-        """The 4x4 big period matrix [Pi over conj(Pi)]."""
-        return self.entries.stack(self.entries.conj())
-
 
 class Torus(Record):
     period: PeriodMatrix
     field: NumberField
-    J: Mat           # real 4x4, multiplication by i on lattice coordinates
-    big_p: Mat       # cached big period matrix
-    big_p_inv: Mat
+    pi_plus: Mat             # 4x2, Pi Pi^+ = I_2 and Pi conj(Pi^+) = 0
+    real_det: FieldElement   # det C = det P / 4
+    orientation: int         # sign of real_det, which orients the lattice
 
-    def __init__(self, period, field, J, big_p, big_p_inv):
+    def __init__(self, period, field, pi_plus, real_det, orientation):
         object.__setattr__(self, "period", period)
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "J", J)
-        object.__setattr__(self, "big_p", big_p)
-        object.__setattr__(self, "big_p_inv", big_p_inv)
-
-    def right_inverse(self) -> Mat:
-        """Pi^+ with Pi * Pi^+ = I_2 (first two columns of P^{-1})."""
-        return self.big_p_inv.submatrix(range(4), range(2))
+        object.__setattr__(self, "pi_plus", pi_plus)
+        object.__setattr__(self, "real_det", real_det)
+        object.__setattr__(self, "orientation", orientation)
 
     def memo(self, key: str, compute):
         """compute(), run once for this torus object and kept under key.
@@ -94,37 +85,29 @@ class Torus(Record):
             object.__setattr__(self, key, compute())
         return kept[key]
 
-    @property
-    def real_det(self) -> FieldElement:
-        """det C = det P / 4, kept by `build_torus` from the elimination that certifies C."""
-        return self._real_det
-
-    @property
-    def orientation(self) -> int:
-        """The sign of `real_det`, which orients the lattice; `build_torus` certifies it."""
-        return self._orientation
-
 
 _HALF = Fraction(1, 2)
 
 
 def build_torus(period: PeriodMatrix) -> Torus:
-    """Certify the lattice condition and assemble the complex structure.
+    """Certify the lattice condition and keep Pi^+, det C and its sign.
 
     C's entries use only the real monomials of the field, and one
     Gauss-Jordan pass over [C | I] gives det C = det P / 4 and C^-1.  Then
     P^-1 = C^-1 M^-1 = [Pi^+ | conj Pi^+] with Pi^+[:, k] =
-    (C^-1[:, 2k] - i C^-1[:, 2k+1]) / 2, and J = P^-1 diag(i, i, -i, -i) P
-    = C^-1 (J_0 C), where J_0 C, the real coordinate matrix of i Pi, has
-    the rows -Im Pi_0, Re Pi_0, -Im Pi_1, Re Pi_1.
+    (C^-1[:, 2k] - i C^-1[:, 2k+1]) / 2.  C is real without a check:
+    conjugation fixes every real generator and negates every imaginary
+    one, whose min poly is even, so it is an automorphism of the field,
+    and (x + conj x) / 2 and `imag_part` are fixed by it.  The invariant
+    Pi Pi^+ = I_2, Pi conj(Pi^+) = 0, the top half of P P^-1 = I, checks
+    the inverse the program reads, with or without asserts.
 
-    Raises DegenerateLattice when det C = 0, NotReal when J fails its
-    exact realness check (inconsistent conjugation declarations).
+    Raises DegenerateLattice when det C = 0.
     """
     field = period.entries.field
-    period = PeriodMatrix(period.entries.map(lambda x: x.in_field(field)))
+    pi = period.entries.map(lambda x: x.in_field(field))
     c_rows = []
-    for row in period.entries.rows:
+    for row in pi.rows:
         c_rows.append(tuple((x + x.conjugate()) * _HALF for x in row))
         c_rows.append(tuple(x.imag_part() for x in row))
     det, c_inv = Mat(tuple(c_rows)).det_and_inverse()
@@ -132,21 +115,13 @@ def build_torus(period: PeriodMatrix) -> Torus:
     if sign == 0:
         raise DegenerateLattice("big period matrix is singular")
     i = field.i()
-    plus = [[(r[2 * k] - i * r[2 * k + 1]) * _HALF for k in range(2)] for r in c_inv.rows]
-    p_inv = Mat(tuple((a, b, a.conjugate(), b.conjugate()) for a, b in plus))
-    re0, im0, re1, im1 = c_rows
-    j = c_inv @ Mat((tuple(-x for x in im0), re0, tuple(-x for x in im1), re1))
-    for r in range(4):
-        for c in range(4):
-            if not j[r, c].is_real():
-                raise NotReal(
-                    f"complex structure entry ({r},{c}) = {j[r, c]} is not real")
-    invariant(j @ j == Mat.diagonal([field.rational(-1)] * 4),
-              "complex structure does not square to -1")
-    t = Torus(period=period, field=field, J=j, big_p=period.big(), big_p_inv=p_inv)
-    t.memo("_real_det", lambda: det)
-    t.memo("_orientation", lambda: sign)
-    return t
+    pi_plus = Mat(tuple(tuple((r[2 * k] - i * r[2 * k + 1]) * _HALF for k in range(2))
+                        for r in c_inv.rows))
+    invariant(pi @ pi_plus == Mat.identity(field, 2)
+              and pi @ pi_plus.conj() == Mat.zero(field, 2, 2),
+              "Pi^+ is not a right inverse of the period matrix")
+    return Torus(period=PeriodMatrix(pi), field=field, pi_plus=pi_plus, real_det=det,
+                 orientation=sign)
 
 
 class MultiplicationDatum(Record):
@@ -155,23 +130,18 @@ class MultiplicationDatum(Record):
     D_analytic: Mat                 # 2x2, D^2 = d
     R: tuple[tuple[int, ...], ...]  # 4x4 integer rational representation
     d: int
-    epsilon: int
     is_scalar: bool
     diagonalizer: Mat | None        # columns: +sqrt(d) then -sqrt(d) eigenvectors
     diagonalizer_inv: Mat | None
-    sqrt_d: FieldElement | None
     field: NumberField              # field of D and the diagonalizer
 
-    def __init__(self, D_analytic, R, d, epsilon, is_scalar, diagonalizer,
-                 diagonalizer_inv, sqrt_d, field):
+    def __init__(self, D_analytic, R, d, is_scalar, diagonalizer, diagonalizer_inv, field):
         object.__setattr__(self, "D_analytic", D_analytic)
         object.__setattr__(self, "R", R)
         object.__setattr__(self, "d", d)
-        object.__setattr__(self, "epsilon", epsilon)
         object.__setattr__(self, "is_scalar", is_scalar)
         object.__setattr__(self, "diagonalizer", diagonalizer)
         object.__setattr__(self, "diagonalizer_inv", diagonalizer_inv)
-        object.__setattr__(self, "sqrt_d", sqrt_d)
         object.__setattr__(self, "field", field)
 
     def r_times(self, coords):
@@ -210,7 +180,6 @@ def attach_multiplication(t: Torus, d_analytic, d: int) -> MultiplicationDatum:
               and dmat[0, 0] == dmat[1, 1])
     diagonalizer = None
     diagonalizer_inv = None
-    sqrt_d = None
     if not scalar:
         field, sqrt_d = sqrt_element(field, d)
         dmat = dmat.map(lambda x: x.in_field(field))
@@ -221,9 +190,8 @@ def attach_multiplication(t: Torus, d_analytic, d: int) -> MultiplicationDatum:
         check = diagonalizer_inv @ dmat @ diagonalizer
         invariant(check == Mat.diagonal([sqrt_d, -sqrt_d]), "diagonalizer does not diagonalize D")
     return MultiplicationDatum(
-        D_analytic=dmat, R=tuple(r_rows), d=d, epsilon=1 if d > 0 else -1,
-        is_scalar=scalar, diagonalizer=diagonalizer,
-        diagonalizer_inv=diagonalizer_inv, sqrt_d=sqrt_d, field=field)
+        D_analytic=dmat, R=tuple(r_rows), d=d, is_scalar=scalar, diagonalizer=diagonalizer,
+        diagonalizer_inv=diagonalizer_inv, field=field)
 
 
 def lattice_action(t: Torus, a: Mat) -> Mat:
@@ -234,7 +202,7 @@ def lattice_action(t: Torus, a: Mat) -> Mat:
     entry is an integer.
     """
     field = a.field
-    q = t.right_inverse().map(lambda x: x.in_field(field))
+    q = t.pi_plus.map(lambda x: x.in_field(field))
     pi = t.period.entries.map(lambda x: x.in_field(field))
     x = q @ a @ pi
     return Mat(tuple(tuple(v + v.conjugate() for v in row) for row in x.rows))
@@ -253,7 +221,7 @@ def analytic_rep(t: Torus, r_rows) -> Mat:
     field = t.field
     pi = t.period.entries
     pi_r = pi @ Mat(tuple(tuple(field.rational(v) for v in row) for row in r_rows))
-    a = pi_r @ t.right_inverse()
+    a = pi_r @ t.pi_plus
     invariant(a @ pi == pi_r, "R is not the lattice action of an endomorphism")
     return a
 

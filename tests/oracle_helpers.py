@@ -13,6 +13,13 @@ the library did before it solved every vector against a basis in one
 elimination, and check the involution over Fractions instead of
 integers.
 
+The complex structure J = P^-1 diag(i, i, -i, -i) P and the big period
+matrix P are built here alone, with P^-1 from `Mat.inv` over P, an
+elimination apart from the library's pass over the real coordinate
+matrix C; the library keeps only Pi^+ and det C.  The NS rank oracle
+and the tests that check NS forms by J^t E J = E and End by R J = J R
+read J from here.
+
 The brute-force End oracle enumerates endomorphisms in a box through the
 commutation J R = R J, a different formulation from the ring computation,
 and the ring side lists its own elements in the same box.  The numeric
@@ -94,13 +101,14 @@ def oracle_ns_rank(t) -> int:
     """Rank of NS(T) by an independent elimination order."""
     field = t.field
     n_mono = field.degree
-    jt = t.J.transpose()
+    j = complex_structure(t)
+    jt = j.transpose()
     system = {}
     for col, (k, l) in enumerate(_REVERSED_PAIRS):
         e0 = [[0] * 4 for _ in range(4)]
         e0[k][l], e0[l][k] = 1, -1
         e0_f = Mat.from_rows([[field.rational(v) for v in r] for r in e0])
-        diff = (jt @ e0_f @ t.J) - e0_f
+        diff = (jt @ e0_f @ j) - e0_f
         for a, b in _REVERSED_PAIRS:
             for m in range(n_mono):
                 c = diff[a, b].coeffs[m]
@@ -315,7 +323,7 @@ def endo_box_oracle(t: Torus, bound: int, shape: str = "full"):
         raise BoundTooLarge("oracle bound must be between 1 and 3")
     field = t.field
     pi = t.period.entries
-    q1 = t.right_inverse()
+    q1 = t.pi_plus
 
     def definition_check(r_rows):
         rmat = Mat.from_rows([[field.rational(v) for v in row] for row in r_rows])
@@ -333,7 +341,7 @@ def endo_box_oracle(t: Torus, bound: int, shape: str = "full"):
     if shape != "full":
         raise ValueError(f"unknown shape {shape!r}")
 
-    j = t.J
+    j = complex_structure(t)
     rows = []
     for r in range(4):
         for c in range(4):
@@ -610,24 +618,42 @@ def field_element(field, coeff_map):
     return FieldElement(field, coeffs)
 
 
-def build_torus_from_big_p(period: PeriodMatrix) -> Torus:
-    """`build_torus` as it was, over the big period matrix P.
+def _over_conj(m: Mat) -> Mat:
+    """m stacked over its entrywise conjugate."""
+    return Mat(m.rows + m.conj().rows)
 
-    One Gauss-Jordan pass over [P | I] gives both det P and P^-1.  J is
-    P^-1 diag(i, i, -i, -i) P = P^-1 [i Pi; -i conj Pi], and
-    -i conj Pi = conj(i Pi), so J is one product of P^-1 with the big
-    period matrix of i Pi.
+
+def big_period_matrix(t) -> Mat:
+    """The 4x4 big period matrix P = [Pi over conj(Pi)] of a torus."""
+    return _over_conj(t.period.entries)
+
+
+def complex_structure(t) -> Mat:
+    """J = P^-1 diag(i, i, -i, -i) P, multiplication by i on lattice coordinates."""
+    p = big_period_matrix(t)
+    i = t.field.i()
+    return p.inv() @ Mat.diagonal([i, i, -i, -i]) @ p
+
+
+def build_torus_from_big_p(period: PeriodMatrix):
+    """`build_torus` as it was, over the big period matrix P, with J beside the torus.
+
+    One Gauss-Jordan pass over [P | I] gives both det P and P^-1, whose
+    first two columns are Pi^+.  J is P^-1 diag(i, i, -i, -i) P =
+    P^-1 [i Pi; -i conj Pi], and -i conj Pi = conj(i Pi), so J is one
+    product of P^-1 with the big period matrix of i Pi.
 
     Raises DegenerateLattice when det P = 0, NotReal when J fails its
     exact realness check (inconsistent conjugation declarations).
     """
-    p = period.big()
+    pi = period.entries
+    p = _over_conj(pi)
     field = p.field
     det, p_inv = p.det_and_inverse()
     if p_inv is None or exact_sign(det * det.conjugate()) <= 0:
         raise DegenerateLattice("big period matrix is singular")
     i = field.i()
-    j = p_inv @ PeriodMatrix(period.entries.map(lambda x: x * i)).big()
+    j = p_inv @ _over_conj(pi.map(lambda x: x * i))
     for r in range(4):
         for c in range(4):
             if not j[r, c].is_real():
@@ -635,10 +661,12 @@ def build_torus_from_big_p(period: PeriodMatrix) -> Torus:
                     f"complex structure entry ({r},{c}) = {j[r, c]} is not real")
     minus_id = Mat.identity(field, 4).scale(-1)
     invariant(j @ j == minus_id, "complex structure does not square to -1")
-    period = PeriodMatrix(period.entries.map(lambda x: x.in_field(field)))
-    t = Torus(period=period, field=field, J=j, big_p=p, big_p_inv=p_inv)
-    t.memo("_real_det", lambda: det * Fraction(1, 4))
-    return t
+    period = PeriodMatrix(pi.map(lambda x: x.in_field(field)))
+    real_det = det * Fraction(1, 4)
+    pi_plus = Mat(tuple(row[:2] for row in p_inv.rows))
+    t = Torus(period=period, field=field, pi_plus=pi_plus, real_det=real_det,
+              orientation=exact_sign(real_det))
+    return t, j
 
 
 def random_torus_by_monomial_sums(d: int, seed: int):
@@ -729,27 +757,29 @@ def ns_membership_coords(ns, h) -> list[Fraction]:
     return coords
 
 
-def ns_to_symmetric_endo(h, ros, ns):
+def ns_to_symmetric_endo(h, ros, ns, h0):
     """Ring coordinates of the endomorphism with analytic matrix conj(M0)^-1 conj(M).
+
+    M0 is the matrix h0 that ros was built from by `rosati_involution`.
 
     Verifies membership in the ring and Rosati-symmetry; asserts
     injectivity on the NS basis and dim NS_Q = dim of the symmetric
     subspace.
     """
     ns_membership_coords(ns, h)  # raises NotInEndo when h is outside NS_Q
-    (coords,) = _psi_coords(ros, [h])
+    (coords,) = _psi_coords(ros, h0, [h])
     if rosati_apply(ros, coords) != list(coords):
         raise NotInEndo("image endomorphism is not Rosati-symmetric")
-    _verify_ns_endo_iso(ros, ns)
+    _verify_ns_endo_iso(ros, ns, h0)
     return coords
 
 
-def _psi_coords(ros, hs):
+def _psi_coords(ros, h0, hs):
     """Ring coordinates of conj(M0)^-1 conj(M) for each form, from one elimination."""
     ring = ros.ring
     t = ring.torus
-    field = ros.H0.field
-    m0c_inv = ros.H0.conj().inv()
+    field = t.field
+    m0c_inv = h0.map(lambda v: v.in_field(field)).conj().inv()
     images = []
     for h in hs:
         m = h.M if isinstance(h, HermForm) else h
@@ -763,8 +793,8 @@ def _psi_coords(ros, hs):
     return coords
 
 
-def _verify_ns_endo_iso(ros, ns) -> None:
-    images = _psi_coords(ros, [herm for _, herm in ns.basis])
+def _verify_ns_endo_iso(ros, ns, h0) -> None:
+    images = _psi_coords(ros, h0, [herm for _, herm in ns.basis])
     if images:
         _, pivots = rref(images)
         invariant(len(pivots) == ns.rank, "NS -> End^s map is not injective on the basis")

@@ -1,8 +1,9 @@
 """Cold torus construction: one elimination, one validation, integer bisection and tables.
 
-`build_torus` takes det C, P^-1 and J from one Gauss-Jordan pass over the
-real coordinate matrix C; they must equal det P / 4 by `Mat.det`,
-`Mat.inv` and the product P^-1 diag(i, i, -i, -i) P.  Root bisection on
+`build_torus` takes det C and Pi^+ from one Gauss-Jordan pass over the
+real coordinate matrix C; det C must equal det P / 4 by `Mat.det`,
+[Pi^+ | conj Pi^+] must equal `Mat.inv` of P, and the J it gives the
+oracle's P^-1 diag(i, i, -i, -i) P.  Root bisection on
 integers must return the endpoints the Fraction bisection in
 oracle_helpers returns, and the integer product table the table built
 from Fraction power rows.  A
@@ -41,7 +42,12 @@ from toruslab.papercheck import random_torus_with_sqrt_d
 from toruslab.torus import PeriodMatrix, build_torus
 
 from conftest import TORI
-from oracle_helpers import field_table_fractions, refine_real_root_fractions
+from oracle_helpers import (
+    big_period_matrix,
+    complex_structure,
+    field_table_fractions,
+    refine_real_root_fractions,
+)
 
 D_VALUES = (2, 3, 5, -1, -2, -5)
 
@@ -55,13 +61,14 @@ def _bundled_and_random_tori():
 
 def test_one_elimination_gives_det_inverse_and_complex_structure():
     for t in _bundled_and_random_tori():
-        p = t.big_p
+        p = big_period_matrix(t)
         det, inv = p.det_and_inverse()
         assert det == p.det() and inv == p.inv()
-        assert t.big_p_inv == p.inv()
+        p_inv = Mat(tuple(r + tuple(x.conjugate() for x in r) for r in t.pi_plus.rows))
+        assert p_inv == p.inv()
         assert t.real_det * 4 == p.det()
         i = t.field.i()
-        assert t.J == p.inv() @ Mat.diagonal([i, i, -i, -i]) @ p
+        assert p_inv @ Mat.diagonal([i, i, -i, -i]) @ p == complex_structure(t)
 
 
 def test_singular_big_period_matrix_is_refused():
@@ -69,7 +76,7 @@ def test_singular_big_period_matrix_is_refused():
     one, zero, i = f.one(), f.zero(), f.i()
     # the third column is the first: det P = 0
     pi = Mat.from_rows([[one, i, one, zero], [zero, one, zero, i]])
-    assert pi.stack(pi.conj()).det_and_inverse() == (zero, None)
+    assert Mat(pi.rows + pi.conj().rows).det_and_inverse() == (zero, None)
     with pytest.raises(DegenerateLattice, match="big period matrix is singular"):
         build_torus(PeriodMatrix(pi))
 

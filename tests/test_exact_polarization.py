@@ -27,7 +27,7 @@ from toruslab.papercheck import (
 )
 
 from conftest import TORI
-from oracle_helpers import is_negative_semidefinite, real_det_from_c
+from oracle_helpers import big_period_matrix, is_negative_semidefinite, real_det_from_c
 
 _SMALL = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 
@@ -120,7 +120,7 @@ def test_real_det_is_a_quarter_of_det_p():
     # C = T P' for the row change Re = (x + conj x) / 2, Im = (x - conj x) / 2i
     for lat in _identity_lattices():
         t = lat.torus
-        assert t.real_det * 4 == t.big_p.det()
+        assert t.real_det * 4 == big_period_matrix(t).det()
 
 
 def test_real_det_matches_the_real_coordinate_matrix():
@@ -132,7 +132,7 @@ def test_real_det_matches_the_real_coordinate_matrix():
     for t in tori:
         assert t.real_det == real_det_from_c(t)
         # P = M C with det M = 4
-        assert t.big_p.det() * F(1, 4) == t.real_det
+        assert big_period_matrix(t).det() * F(1, 4) == t.real_det
 
 
 def test_pfaffian_identity_holds_and_catches_corruption():

@@ -26,7 +26,7 @@ from toruslab.exactfield import (
 )
 from toruslab.papercheck import random_torus_with_sqrt_d
 
-from oracle_helpers import embed_per_call, monomial_exponents, real_part
+from oracle_helpers import complex_structure, embed_per_call, monomial_exponents, real_part
 
 SQRT2 = exactfield.sqrt_generator_spec(2)
 # i*sqrt(3), a purely imaginary generator: conjugation negates it
@@ -141,7 +141,7 @@ def test_caches_stay_bounded_and_embed_survives_eviction(monkeypatch):
     for d in (2, 3, 5, -1, -2, -5):
         for s in range(1, 21):
             torus, _ = random_torus_with_sqrt_d(d, s)
-            embed(torus.J[0, 0], 64)
+            embed(complex_structure(torus)[0, 0], 64)
             assert len(exactfield._BOX_CACHE) <= cap
             assert len(exactfield._FIELD_DATA_CACHE) <= cap
 
@@ -248,7 +248,8 @@ def embed_samples():
                                             for j in range(f.degree)]))
     samples.append(FieldElement(DEG12, [F(0)] * 11 + [F(-9, 8)]))
     torus, _ = random_torus_with_sqrt_d(-5, 1)
-    samples += [torus.J[r, c] for r in range(4) for c in range(4)]
+    j = complex_structure(torus)
+    samples += [j[r, c] for r in range(4) for c in range(4)]
     return samples
 
 

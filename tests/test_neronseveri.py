@@ -31,6 +31,7 @@ from toruslab.torus import attach_multiplication, lattice_form
 from conftest import TORI
 from oracle_helpers import (
     canonical_form_coordinates,
+    complex_structure,
     ns_membership_coords,
     ns_to_symmetric_endo,
     oracle_ns_rank,
@@ -56,9 +57,10 @@ def test_ns_rank_product(cm_product):
     ns = compute_ns(torus)
     assert ns.rank == 4
     assert oracle_ns_rank(torus) == 4
+    j = complex_structure(torus)
     for alt, herm in ns.basis:
         e = Mat.from_rows([[torus.field.rational(v) for v in row] for row in alt.E])
-        assert torus.J.transpose() @ e @ torus.J == e
+        assert j.transpose() @ e @ j == e
         assert herm.M.conj_t() == herm.M
 
 
@@ -85,9 +87,10 @@ def test_ns_basis_is_j_compatible(source):
         torus, _ = parse_input((TORI / source).read_text()).realize()
     ns = compute_ns(torus)
     assert ns.rank == oracle_ns_rank(torus)
+    j = complex_structure(torus)
     for alt, _ in ns.basis:
         e = Mat.from_rows([[torus.field.rational(v) for v in row] for row in alt.E])
-        assert torus.J.transpose() @ e @ torus.J == e
+        assert j.transpose() @ e @ j == e
 
 
 def test_lattice_form_matches_imag_value(d2_lattice):
@@ -342,8 +345,8 @@ def test_ns_to_symmetric_endo_product(cm_product):
     h0 = Mat.identity(torus.field, 2)
     ros = rosati_involution(ring, h0)
     idc = [F(1)] + [F(0)] * (ring.rank - 1)
-    assert list(ns_to_symmetric_endo(HermForm(h0), ros, ns)) == idc
-    images = [tuple(ns_to_symmetric_endo(h, ros, ns)) for _, h in ns.basis]
+    assert list(ns_to_symmetric_endo(HermForm(h0), ros, ns, h0)) == idc
+    images = [tuple(ns_to_symmetric_endo(h, ros, ns, h0)) for _, h in ns.basis]
     assert len(set(images)) == 4
 
 
@@ -351,11 +354,12 @@ def test_ns_to_symmetric_endo_rejects_outsiders(cm_product):
     torus, _ = cm_product
     ring = compute_endo_ring(torus)
     ns = compute_ns(torus)
-    ros = rosati_involution(ring, Mat.identity(torus.field, 2))
+    h0 = Mat.identity(torus.field, 2)
+    ros = rosati_involution(ring, h0)
     f, s2 = sqrt_element(torus.field, 2)
     outside = HermForm(Mat.diagonal([f.one(), s2]))
     with pytest.raises(NotInEndo):
-        ns_to_symmetric_endo(outside, ros, ns)
+        ns_to_symmetric_endo(outside, ros, ns, h0)
 
 
 def test_ns_membership_coords(cm_product):

@@ -158,7 +158,7 @@ def test_integer_check_accepts_involutions_with_denominators(scalar1):
 def _bumped(ros, j, k, by):
     rows = [list(r) for r in ros.involution]
     rows[j][k] += by
-    return RosatiData(ring=ros.ring, H0=ros.H0, involution=tuple(map(tuple, rows)))
+    return RosatiData(ring=ros.ring, involution=tuple(map(tuple, rows)))
 
 
 def test_bumped_involution_entry_raises(scalar1):

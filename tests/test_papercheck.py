@@ -23,6 +23,7 @@ from toruslab.papercheck import (
 )
 from toruslab.torus import attach_multiplication
 from conftest import CBRT3_SPEC, TORI
+from oracle_helpers import complex_structure
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
 
@@ -158,9 +159,10 @@ def test_witnesses_recheckable(example1_m1):
     by_id = {c.claim_id: c for c in report.claims}
     basis_e = by_id["proposition.nd-rank-2"].witness["basis_E"]
     f = t.field
+    j = complex_structure(t)
     for e_rows in basis_e:
         e_mat = Mat.from_rows([[f.rational(v) for v in row] for row in e_rows])
-        assert t.J.transpose() @ e_mat @ t.J == e_mat
+        assert j.transpose() @ e_mat @ j == e_mat
         for r in range(4):
             for c in range(4):
                 assert e_rows[r][c] == -e_rows[c][r]

@@ -129,4 +129,4 @@ def test_torus_equality_hash_and_repr_ignore_the_memo():
     compute_endo_ring(warm)
     assert repr(warm) == before == repr(cold)
     assert warm == cold and hash(warm) == hash(cold)
-    assert type(warm)._fields == ("period", "field", "J", "big_p", "big_p_inv")
+    assert type(warm)._fields == ("period", "field", "pi_plus", "real_det", "orientation")

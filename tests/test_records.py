@@ -64,14 +64,14 @@ CASES = {
     "GeneratorSpec": lambda w: (w.t.field.generators[-1], "name", "s"),
     "ComplexBox": lambda w: (embed(w.t.field.gen("r"), 16), "re_hi", F(2)),
     "NumberField": lambda w: (w.t.field, "generators", NumberField(()).generators),
-    "Mat": lambda w: (w.t.J, "rows", w.t.big_p.rows),
+    "Mat": lambda w: (w.t.pi_plus, "rows", w.t.pi_plus.conj().rows),
     "PeriodMatrix": lambda w: (w.t.period, "entries", w.ros.ring.torus.period.entries),
-    "Torus": lambda w: (w.t, "J", w.t.big_p_inv),
-    "MultiplicationDatum": lambda w: (w.mult, "epsilon", -w.mult.epsilon),
+    "Torus": lambda w: (w.t, "pi_plus", w.ros.ring.torus.pi_plus),
+    "MultiplicationDatum": lambda w: (w.mult, "d", -w.mult.d),
     "Endomorphism": lambda w: (w.ring.basis[1], "R", w.ring.basis[0].R),
     "EndoRing": lambda w: (w.ring, "basis", w.ring.basis[:1]),
     "AlgebraClass": lambda w: (classify_algebra(w.ring), "discriminant_data", (3,)),
-    "RosatiData": lambda w: (w.ros, "H0", Mat.identity(w.ros.H0.field, 2)),
+    "RosatiData": lambda w: (w.ros, "ring", w.ring),
     "RealMultiplication": lambda w: (
         find_real_multiplication(w.ros, symmetric_subspace(w.ros)[0]),
         "squarefree_certified", False),

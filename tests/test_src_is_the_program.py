@@ -1,4 +1,4 @@
-"""Every function in src/toruslab is run by the program, not only by the tests.
+"""Every function and record field in src/toruslab is used by the program, not only by the tests.
 
 The program is the package itself, the scripts in scripts/, the
 benchmark in perfbench/ and the console entry point in pyproject.toml.
@@ -9,6 +9,12 @@ nowhere.  Names are read as tokens, so a name that occurs only in a
 comment, a docstring or another string does not count as a use; in
 pyproject.toml the entry points are strings, so there every identifier
 outside a comment counts.
+
+Every annotated field of a `Record` subclass of src/toruslab must be
+read as an attribute, an AST ``Attribute`` load such as ``t.pi_plus``,
+somewhere in the package, the scripts or the benchmark.  A field only
+stored, or read only by the tests, costs every construction and
+belongs in tests/oracle_helpers.py, computed from the record there.
 """
 
 import ast
@@ -71,3 +77,34 @@ def test_every_function_in_src_is_used_by_the_program():
     assert not unused, (
         "functions the program names only at their own def (test-only code "
         "belongs in tests/oracle_helpers.py): " + ", ".join(unused))
+
+
+def _record_fields():
+    """(class, field) of every annotated field of a direct Record subclass."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef) and any(
+                    isinstance(base, ast.Name) and base.id == "Record" for base in node.bases):
+                for stmt in node.body:
+                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                        yield node.name, stmt.target.id
+
+
+def _program_attribute_loads() -> set:
+    loads = set()
+    for directory in PROGRAM_DIRS:
+        for path in sorted(directory.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    loads.add(node.attr)
+    return loads
+
+
+def test_every_record_field_is_read_by_the_program():
+    fields = list(_record_fields())
+    assert len({cls for cls, _ in fields}) >= 20
+    loads = _program_attribute_loads()
+    unread = sorted(f"{cls}.{name}" for cls, name in fields if name not in loads)
+    assert not unread, (
+        "record fields the program never reads as an attribute (a field only the "
+        "tests read belongs in tests/oracle_helpers.py): " + ", ".join(unread))
